@@ -188,8 +188,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(vals, (list, tuple)):
             raise InvalidConfig("sweep.delta_t_values must be an array")
         sweep_kwargs["delta_t_values"] = tuple(float(v) for v in vals)
-    use_full = bool(sweep_raw.get("use_full_solver", False)) or args.full
-    sweep = SweepConfig(grid=grid, use_full_solver=use_full, **sweep_kwargs)
+    use_full = sweep_raw.get("use_full_solver", False)
+    if not isinstance(use_full, bool):
+        raise InvalidConfig(f"sweep.use_full_solver must be true or false, got {use_full!r}")
+    sweep = SweepConfig(grid=grid, use_full_solver=use_full or args.full, **sweep_kwargs)
 
     fmt = args.format if args.format is not None else raw.get("format", "both")
     if fmt not in ("csv", "json", "both"):
@@ -209,7 +211,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _ensure_out(cfg: RunConfig) -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:  # e.g. the path names an existing file
+        raise InvalidConfig(f"cannot use {cfg.out_dir!r} as output directory: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +261,7 @@ def cmd_celerity(cfg: RunConfig) -> int:
         scale = closed.v if closed.v > 0.0 else 1.0
         payload["relative_difference"] = abs(closed.v - root.v) / scale
     else:
-        # nothing to bracket when the tangential entropy gradient vanishes
+        # no root to find when the tangential entropy gradient vanishes
         payload["determinant_root"] = None
         payload["relative_difference"] = None
     payload["seed"] = cfg.seed
@@ -369,7 +374,7 @@ def _run_checks(cfg: RunConfig) -> list[dict]:
                                 grad_s_tg_sq=float(g2_i))
         v_probe = float(rng.uniform(0.0, 2.0)) * math.sqrt(
             (p.C * p.E - p.D * p.D) * g2_i / (p.C * rho_i))
-        num = waves.jump_matrix(p, locus, v_probe).determinant()
+        num = np.linalg.det(waves.jump_matrix(p, locus, v_probe))
         ref = -rho_i * ((p.C * p.E - p.D * p.D) * g2_i - p.C * rho_i * v_probe ** 2)
         det_err = max(det_err, abs(num - ref) / max(1e-300, abs(ref)))
         closed = waves.celerity_general(p, locus)

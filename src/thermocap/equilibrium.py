@@ -13,6 +13,10 @@ damped Newton iteration with an analytic block-tridiagonal Jacobian.  The
 solver uses plain 2nd-order central differences (keeps the Jacobian banded);
 all diagnostics use 4th-order stencils so discretization error of the
 diagnostic never masks the quantity being diagnosed.
+
+Only the full route needs scipy (for the banded LAPACK solve), and it
+imports scipy.linalg on first use, so the closed route and the diagnostics
+run on numpy alone.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import solve_banded
 
 from .eos import (
     BulkConditions,
@@ -63,6 +65,7 @@ __all__ = [
     "profile_to_csv",
     "derivative_4th",
     "second_derivative_4th",
+    "simpson_uniform",
 ]
 
 
@@ -269,7 +272,21 @@ def surface_tension_quadrature(p: FluidParams, prof: Profile) -> float:
             f"allowed {tail:.3e}"
         )
     drho = derivative_4th(prof.rho, prof.h)
-    return float(simpson(p.C * drho * drho, dx=prof.h))
+    return simpson_uniform(p.C * drho * drho, prof.h)
+
+
+def simpson_uniform(f: np.ndarray, h: float) -> float:
+    """Composite Simpson rule for samples f on a uniform grid of spacing h.
+
+    An even node count leaves one interval over; it is closed with the
+    uniform-grid case of Cartwright's last-interval correction, the rule
+    scipy.integrate.simpson applies, so both parities stay 4th order.
+    """
+    odd = f[:f.size - 1 + f.size % 2]  # longest prefix with an odd node count
+    total = np.sum(odd[:-2:2] + 4.0 * odd[1:-1:2] + odd[2::2]) * (h / 3.0)
+    if f.size % 2 == 0:
+        total += h / 12.0 * (5.0 * f[-1] + 8.0 * f[-2] - f[-3])
+    return float(total)
 
 
 def reduced_residual(p: FluidParams, bc: BulkConditions, prof: Profile) -> np.ndarray:
@@ -373,6 +390,8 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
     away from y = 0, since any translate this deep inside the valley
     satisfies the equations to below the tolerance.
     """
+    from scipy.linalg import solve_banded  # kept off the package's import path
+
     seed = closed_profile(p, bc, g)
     liquid, vapor = bulk_states(p, bc)
     y, h = seed.y, seed.h

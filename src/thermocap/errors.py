@@ -41,10 +41,6 @@ class MaxIterations(ModelError):
         self.report = report
 
 
-class RootNotBracketed(ModelError):
-    """Bisection bracket does not enclose a sign change of the determinant."""
-
-
 class NonPositiveData(ModelError):
     """Log-log fitting requires strictly positive abscissae and ordinates."""
 

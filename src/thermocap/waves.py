@@ -11,24 +11,23 @@ pins the celerity v.  The determinant is linear in v^2, so the closed form
 
 with g^2 the squared tangential entropy gradient follows by one cofactor
 expansion.  This module assembles the system, finds the root numerically
-without using the closed form, and evaluates both on the dividing surface
-of an equilibrium profile where everything reduces to functions of the
-undercooling alone.
+from two determinant evaluations without using the closed form, and
+evaluates both on the dividing surface of an equilibrium profile where
+everything reduces to functions of the undercooling alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .eos import BulkConditions, FluidParams
-from .errors import InvalidConfig, ModelError, RootNotBracketed
+from .errors import InvalidConfig, ModelError
 
 __all__ = [
     "WaveLocus",
-    "JumpSystem",
     "CelerityResult",
     "jump_matrix",
     "celerity_general",
@@ -71,46 +70,16 @@ class WaveLocus:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class JumpSystem:
-    """Assembled 3x3 jump compatibility matrix at a candidate celerity."""
-
-    matrix: np.ndarray
-    v: float
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.shape != (3, 3):
-            raise ValueError("jump matrix must be 3x3")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    def determinant(self) -> float:
-        return float(np.linalg.det(self.matrix))
-
-
 @dataclass(frozen=True)
 class CelerityResult:
     """Celerity and normalized jump amplitudes of a tangential wave."""
 
     v: float
     lam: tuple[float, float, float]
-    jump_interpretation: str = field(default=_JUMP_NOTE)
-    # the constraint C*lam1 + D*lam2 = 0 is the jump of the capillary flux
-    # divergence; it holds for every wave, so enforce it at construction
-    _constraint_coeffs: tuple[float, float] = field(default=(0.0, 0.0), repr=False)
 
     def __post_init__(self):
         if not self.v >= 0.0:
             raise ValueError("celerity must be reported as the nonnegative root")
-        c, d = self._constraint_coeffs
-        if c != 0.0 or d != 0.0:
-            l1, l2, _ = self.lam
-            resid = abs(c * l1 + d * l2)
-            scale = max(1.0, abs(c * l1), abs(d * l2))
-            if resid > 1e-12 * scale:
-                raise ValueError(
-                    f"amplitudes violate C*lam1 + D*lam2 = 0 (residual {resid:.3e})")
 
     def to_dict(self) -> dict:
         return {
@@ -120,12 +89,12 @@ class CelerityResult:
             "lambda1": self.lam[0],
             "lambda2": self.lam[1],
             "lambda3": self.lam[2],
-            "jump_interpretation": self.jump_interpretation,
+            "jump_interpretation": _JUMP_NOTE,
         }
 
 
-def jump_matrix(p: FluidParams, locus: WaveLocus, v: float) -> JumpSystem:
-    """Assemble the compatibility system at candidate celerity v.
+def jump_matrix(p: FluidParams, locus: WaveLocus, v: float) -> np.ndarray:
+    """Assemble the read-only 3x3 compatibility matrix at candidate celerity v.
 
     Rows: capillary-flux jump [C, D, 0]; energy-flux jump [D a, E a, rho];
     tangential momentum jump [D g2, E g2 - rho v^2, 0], with a the normal
@@ -138,7 +107,8 @@ def jump_matrix(p: FluidParams, locus: WaveLocus, v: float) -> JumpSystem:
         [p.D * a, p.E * a, locus.rho],
         [p.D * g2, p.E * g2 - locus.rho * v * v, 0.0],
     ])
-    return JumpSystem(matrix=mat, v=float(v))
+    mat.setflags(write=False)
+    return mat
 
 
 def _amplitudes_closed(p: FluidParams, locus: WaveLocus) -> tuple[float, float, float]:
@@ -156,53 +126,33 @@ def celerity_general(p: FluidParams, locus: WaveLocus) -> CelerityResult:
     """
     g2 = locus.grad_s_tg_sq
     v = math.sqrt((p.C * p.E - p.D * p.D) * g2 / (p.C * locus.rho))
-    return CelerityResult(v=v, lam=_amplitudes_closed(p, locus),
-                          _constraint_coeffs=(p.C, p.D))
-
-
-def _bisect(f, lo: float, hi: float, max_iter: int = 200) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise RootNotBracketed(
-            f"no sign change on [{lo:.6g}, {hi:.6g}]: f = {flo:.3e}, {fhi:.3e}")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-        if hi - lo <= 1e-16 * max(abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+    return CelerityResult(v=v, lam=_amplitudes_closed(p, locus))
 
 
 def celerity_by_determinant(p: FluidParams, locus: WaveLocus) -> CelerityResult:
     """Celerity as a numeric determinant root, amplitudes from the null space.
 
-    Independent of the closed form except for the bracket width: bisection
-    runs on [0, 10 * v_closed], where the determinant provably changes sign.
-    The amplitude vector is the right singular direction of the smallest
-    singular value; the gap to the next singular value certifies that the
-    matrix really drops to rank 2 at the root.
+    Independent of the closed form.  Only entry (3,2) of the jump matrix
+    depends on v, and only through v^2, so by multilinearity the
+    determinant is affine in v^2: evaluating it at v^2 = 0 and at the
+    probe v^2 = E g2 / rho, where entry (3,2) vanishes, fixes the line and
+    its root.  The amplitude vector is the right singular direction of the
+    smallest singular value; the gap to the next singular value certifies
+    that the matrix really drops to rank 2 at the root.
     """
     g2 = locus.grad_s_tg_sq
     if g2 <= 0.0:
         raise InvalidConfig("determinant root-finding requires grad_s_tg_sq > 0")
-    v_hi = 10.0 * math.sqrt((p.C * p.E - p.D * p.D) * g2 / (p.C * locus.rho))
-
-    def det_at(v: float) -> float:
-        return jump_matrix(p, locus, v).determinant()
-
-    v_root = _bisect(det_at, 0.0, v_hi)
-    mat = jump_matrix(p, locus, v_root).matrix
-    _, sing, vt = np.linalg.svd(mat)
+    v_probe = math.sqrt(p.E * g2 / locus.rho)
+    det_0 = float(np.linalg.det(jump_matrix(p, locus, 0.0)))
+    det_probe = float(np.linalg.det(jump_matrix(p, locus, v_probe)))
+    if det_probe == det_0:
+        raise ModelError("jump determinant does not depend on v^2; no celerity root")
+    v_sq = v_probe * v_probe * det_0 / (det_0 - det_probe)
+    if not v_sq >= 0.0:
+        raise ModelError(f"jump determinant vanishes at v^2 = {v_sq:.6g} < 0; no real celerity")
+    v_root = math.sqrt(v_sq)
+    _, sing, vt = np.linalg.svd(jump_matrix(p, locus, v_root))
     if not sing[1] > 1e3 * sing[2]:
         raise ModelError(
             "jump matrix at the determinant root is not numerically rank 2 "
@@ -210,8 +160,13 @@ def celerity_by_determinant(p: FluidParams, locus: WaveLocus) -> CelerityResult:
     vec = vt[2]
     if vec[1] != 0.0:
         vec = vec / vec[1]
-    return CelerityResult(v=v_root, lam=(float(vec[0]), float(vec[1]), float(vec[2])),
-                          _constraint_coeffs=(p.C, p.D))
+    lam1, lam2, lam3 = (float(x) for x in vec)
+    # C*lam1 + D*lam2 = 0 is the jump of the capillary flux divergence; it
+    # holds for every wave, so a null vector breaking it is not a wave
+    resid = abs(p.C * lam1 + p.D * lam2)
+    if resid > 1e-12 * max(1.0, abs(p.C * lam1), abs(p.D * lam2)):
+        raise ModelError(f"amplitudes violate C*lam1 + D*lam2 = 0 (residual {resid:.3e})")
+    return CelerityResult(v=v_root, lam=(lam1, lam2, lam3))
 
 
 def dividing_surface_density_gradient(p: FluidParams, bc: BulkConditions) -> float:
@@ -248,5 +203,4 @@ def celerity_at_critical_density(p: FluidParams, bc: BulkConditions) -> Celerity
     den = 8.0 * p.C ** 2 * p.B ** 3 * p.rho_c ** 5
     v = math.sqrt(num / den)
     locus = dividing_surface_locus(p, bc)
-    return CelerityResult(v=v, lam=_amplitudes_closed(p, locus),
-                          _constraint_coeffs=(p.C, p.D))
+    return CelerityResult(v=v, lam=_amplitudes_closed(p, locus))

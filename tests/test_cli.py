@@ -233,12 +233,24 @@ def test_json_output_is_normalized(tmp_path):
     {"seed": -1},
     {"grid": {"n_points": 50}},
     {"sweep": {"tolerances": {"not_a_law": 0.1}}},
+    # bool("false") is True: only a JSON bool may select the solver
+    {"sweep": {"use_full_solver": "false"}},
+    {"sweep": {"use_full_solver": 0}},
 ])
 def test_bad_configs_exit_2(tmp_path, config):
     proc, out = run_cli(tmp_path, "profile", config=config)
     assert proc.returncode == 2, (config, proc.stderr)
     assert proc.stderr.strip()
     assert not out.exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path):
+    (tmp_path / "taken").write_text("not a directory")
+    proc, _ = run_cli(tmp_path, "profile", out="taken")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "taken").read_text() == "not a directory"
 
 
 def test_malformed_config_file_exits_2(tmp_path):
@@ -273,3 +285,36 @@ def test_divergent_solver_reports_and_exits_3(tmp_path):
                         config={"delta_T": 1.5})
     assert proc.returncode == 3
     assert not out.exists() or not list(out.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# import contract
+# ---------------------------------------------------------------------------
+
+def test_closed_routes_never_import_scipy(tmp_path):
+    # scipy is paid for only by the coupled solver; the package import and
+    # the closed-form commands must run on numpy alone
+    script = f"""
+import sys
+import thermocap
+from thermocap import cli
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+print("import", scipy_modules())
+for cmd in ("profile", "celerity", "sweep"):
+    rc = cli.main([cmd, "--out", {str(tmp_path)!r} + "/" + cmd])
+    print(cmd, rc, scipy_modules())
+rc = cli.main(["profile", "--full", "--out", {str(tmp_path)!r} + "/full"])
+print("full", rc, "scipy.linalg" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "import []",
+        "profile 0 []",
+        "celerity 0 []",
+        "sweep 0 []",
+        "full 0 True",
+    ]

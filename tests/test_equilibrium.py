@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_bvp
+from scipy.integrate import simpson, solve_bvp
 
 from thermocap import (
     FluidParams,
@@ -37,6 +37,7 @@ from thermocap.equilibrium import (
     profile_to_csv,
     reduced_residual,
     second_derivative_4th,
+    simpson_uniform,
     stress_yy_profile,
     _coupled_jacobian_banded,
     _coupled_residual,
@@ -135,6 +136,17 @@ def test_surface_tension_quadrature_agrees_with_closed_form():
         bc = bulk_conditions(P0, delta_t=dt)
         quad = surface_tension_quadrature(P0, closed_profile(P0, bc))
         assert quad == pytest.approx(surface_tension_closed(P0, bc), rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [101, 1000, 1001, 16001])
+def test_simpson_matches_scipy_for_both_parities(n):
+    # integrands that do not vanish at the ends, so an even node count
+    # exposes any error in the last-interval correction
+    x = np.linspace(-1.0, 2.0, n)
+    h = x[1] - x[0]
+    rng = np.random.default_rng(n)
+    for f in (np.exp(x) * (1.0 + x * x), rng.uniform(0.5, 1.5, n)):
+        assert simpson_uniform(f, h) == pytest.approx(simpson(f, dx=h), rel=1e-14, abs=0.0)
 
 
 def test_quadrature_refuses_undecayed_tails():

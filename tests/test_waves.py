@@ -7,6 +7,7 @@ interface at undercooling 0.01 this evaluates to v^2 = 1.2e-9.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from thermocap import (
     dividing_surface_locus,
     jump_matrix,
 )
-from thermocap.waves import JumpSystem, dividing_surface_density_gradient, _bisect
-from thermocap.errors import InvalidConfig, ModelError, RootNotBracketed
+from thermocap.waves import dividing_surface_density_gradient
+from thermocap.errors import InvalidConfig, ModelError
 
 P0 = FluidParams()
 BC = bulk_conditions(P0, delta_t=0.01)
@@ -59,13 +60,18 @@ def test_celerity_result_rejects_negative_speed():
         CelerityResult(v=-1.0, lam=(0.0, 1.0, 0.0))
 
 
-def test_celerity_result_enforces_flux_constraint():
-    # lam must sit in the kernel of the capillary-flux row (C, D, 0)
-    with pytest.raises(ValueError, match="lam1"):
-        CelerityResult(v=1.0, lam=(1.0, 1.0, 0.0),
-                       _constraint_coeffs=(P0.C, P0.D))
-    ok = CelerityResult(v=1.0, lam=(-P0.D / P0.C, 1.0, 0.5),
-                        _constraint_coeffs=(P0.C, P0.D))
+def test_determinant_route_enforces_flux_constraint(monkeypatch):
+    # lam must sit in the kernel of the capillary-flux row (C, D, 0); feed
+    # the route a well-separated null vector that breaks it
+    def fake_svd(mat):
+        return None, np.array([2.0, 1.0, 0.0]), np.array([[1.0, 0.0, 0.0],
+                                                          [0.0, 0.0, 1.0],
+                                                          [1.0, 1.0, 0.0]])
+    monkeypatch.setattr(np.linalg, "svd", fake_svd)
+    locus = WaveLocus(rho=1.0, grad_s_normal=0.0, grad_s_tg_sq=1e-9)
+    with pytest.raises(ModelError, match="lam1"):
+        celerity_by_determinant(P0, locus)
+    ok = CelerityResult(v=1.0, lam=(-P0.D / P0.C, 1.0, 0.5))
     d = ok.to_dict()
     assert d["v_mirror"] == -1.0
     assert d["v_squared"] == 1.0
@@ -84,20 +90,23 @@ def test_determinant_identity():
     for _ in range(300):
         locus = random_locus(rng)
         v = rng.uniform(0.0, 1e-3)
-        system = jump_matrix(P0, locus, v)
+        mat = jump_matrix(P0, locus, v)
         expected = -locus.rho * ((P0.C * P0.E - P0.D ** 2) * locus.grad_s_tg_sq
                                  - P0.C * locus.rho * v * v)
-        assert system.determinant() == pytest.approx(expected, rel=1e-12, abs=1e-30)
+        assert np.linalg.det(mat) == pytest.approx(expected, rel=1e-12, abs=1e-30)
 
 
 def test_jump_matrix_shape_and_storage():
     locus = WaveLocus(rho=1.0, grad_s_normal=0.0, grad_s_tg_sq=1e-9)
-    system = jump_matrix(P0, locus, 1e-5)
-    assert isinstance(system, JumpSystem)
-    assert system.matrix.shape == (3, 3)
-    assert system.v == 1e-5
+    mat = jump_matrix(P0, locus, 1e-5)
+    assert isinstance(mat, np.ndarray)
+    assert mat.shape == (3, 3)
+    with pytest.raises(ValueError):
+        mat[2, 1] = 0.0  # read-only
+    # v enters only entry (3,2), as -rho v^2
+    assert mat[2, 1] == P0.E * 1e-9 - 1.0 * 1e-5 * 1e-5
     # first row is the capillary flux row (C, D, 0) for every locus
-    np.testing.assert_allclose(system.matrix[0], [P0.C, P0.D, 0.0])
+    np.testing.assert_allclose(mat[0], [P0.C, P0.D, 0.0])
 
 
 def test_determinant_vanishes_exactly_at_the_closed_form_speed():
@@ -105,18 +114,40 @@ def test_determinant_vanishes_exactly_at_the_closed_form_speed():
     for _ in range(50):
         locus = random_locus(rng)
         v = math.sqrt(closed_v_squared(P0, locus))
-        system = jump_matrix(P0, locus, v)
-        scale = abs(np.linalg.det(system.matrix - np.diag([1, 1, 1]))) + 1.0
-        assert abs(system.determinant()) <= 1e-12 * scale
+        mat = jump_matrix(P0, locus, v)
+        scale = abs(np.linalg.det(mat - np.diag([1, 1, 1]))) + 1.0
+        assert abs(np.linalg.det(mat)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
 # Celerity solvers
 # ---------------------------------------------------------------------------
 
-def test_bisection_needs_a_bracket():
-    with pytest.raises(RootNotBracketed):
-        _bisect(lambda v: v * v + 1.0, 0.0, 1.0)
+@pytest.mark.parametrize("d", [0.0, 0.3, 0.999])
+def test_determinant_root_zeroes_the_determinant_across_loci(d):
+    # the root comes from two determinant evaluations; across the coupling
+    # range and twelve decades of g2 it must null the determinant to
+    # rounding and land on the closed form, whose v^2 cancels CE - D^2
+    p = FluidParams(D=d)
+    rng = np.random.default_rng(17)
+    for g2 in 10.0 ** np.linspace(-14.0, 0.0, 57):
+        locus = WaveLocus(rho=rng.uniform(0.3, 2.0),
+                          grad_s_normal=rng.uniform(-0.1, 0.1), grad_s_tg_sq=g2)
+        v = celerity_by_determinant(p, locus).v
+        # each term of det M = -rho (C E - D^2) g2 + C rho^2 v^2 is of this size
+        scale = locus.rho * p.C * p.E * g2
+        assert abs(np.linalg.det(jump_matrix(p, locus, v))) <= 1e-13 * scale
+        assert v * v == pytest.approx(closed_v_squared(p, locus), rel=1e-12)
+
+
+def test_determinant_root_guards_slope_and_sign():
+    # parameter sets FluidParams would reject, so the guards are the only
+    # thing between them and a meaningless celerity
+    locus = WaveLocus(rho=1.0, grad_s_normal=0.0, grad_s_tg_sq=1e-9)
+    with pytest.raises(ModelError, match="does not depend on v"):
+        celerity_by_determinant(SimpleNamespace(C=1.0, D=0.0, E=0.0), locus)
+    with pytest.raises(ModelError, match="< 0"):
+        celerity_by_determinant(SimpleNamespace(C=1.0, D=1.5, E=1.0), locus)
 
 
 def test_determinant_root_matches_closed_form_over_random_loci():
@@ -139,10 +170,10 @@ def test_amplitudes_solve_the_jump_system():
     for _ in range(50):
         locus = random_locus(rng)
         result = celerity_by_determinant(P0, locus)
-        system = jump_matrix(P0, locus, result.v)
+        mat = jump_matrix(P0, locus, result.v)
         lam = np.array(result.lam)
-        norm = np.linalg.norm(system.matrix, ord=np.inf) * np.linalg.norm(lam, ord=np.inf)
-        assert np.linalg.norm(system.matrix @ lam, ord=np.inf) <= 1e-10 * norm
+        norm = np.linalg.norm(mat, ord=np.inf) * np.linalg.norm(lam, ord=np.inf)
+        assert np.linalg.norm(mat @ lam, ord=np.inf) <= 1e-10 * norm
         # normalization pins the entropy amplitude
         assert lam[1] == 1.0
         # kernel constraint: no jump in the capillary flux divergence
