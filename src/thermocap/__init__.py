@@ -10,7 +10,8 @@ the closed forms and once numerically, and checks that the two routes agree.
 
 Modules: eos (equation of state and chemical potentials), equilibrium
 (profiles, surface tension, capillary stress), waves (jump system and
-celerity), scaling (power-law sweeps), cli (deterministic command line).
+celerity), scaling (power-law sweeps), checks (cross-module invariant
+suite), cli (deterministic command line).
 """
 
 from .eos import (

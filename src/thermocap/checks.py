@@ -1,0 +1,131 @@
+"""Cross-module invariant suite behind ``thermocap check``.
+
+Each check compares two independent routes to one quantity (analytic
+derivatives against finite differences, closed forms against quadrature
+and the Newton solver, the celerity closed form against the determinant
+root) on seeded random samples, and records the worst discrepancy next to
+its threshold.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import eos, equilibrium, waves
+from .eos import BulkConditions, FluidParams, bulk_conditions
+from .equilibrium import GridConfig
+
+__all__ = ["run_checks"]
+
+
+def run_checks(p: FluidParams, bc: BulkConditions, grid: GridConfig,
+               seed: int) -> list[dict]:
+    """Run the suite; each entry is one named check with its metric and verdict.
+
+    The seed drives all sampling, so a seed fixes every metric bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    checks: list[dict] = []
+
+    def record(name: str, metric: float, threshold: float):
+        checks.append({"name": name, "metric": float(metric),
+                       "threshold": threshold, "passed": bool(metric <= threshold)})
+
+    # sample physically scaled states: densities inside the coexistence
+    # bracket at random undercoolings, entropies near the slaved value
+    n = 200
+    dts = 10.0 ** rng.uniform(-4.0, -1.0, n)
+    m = rng.uniform(-1.0, 1.0, n) * np.sqrt(p.A * dts / p.B)
+    rho = p.rho_c + m
+    s = eos.entropy_slave(p, rho, dts) * rng.uniform(0.5, 1.5, n)
+
+    h_rho = 6e-6 * np.maximum(1.0, np.abs(rho))
+    h_s = 6e-6 * np.maximum(1.0, np.abs(s))
+    g_rho, g_s = eos.bulk_energy_partials(p, rho, s)
+    fd_rho = (eos.bulk_energy(p, rho + h_rho, s)
+              - eos.bulk_energy(p, rho - h_rho, s)) / (2.0 * h_rho)
+    fd_s = (eos.bulk_energy(p, rho, s + h_s)
+            - eos.bulk_energy(p, rho, s - h_s)) / (2.0 * h_s)
+    scale_r = np.maximum(1.0, np.abs(g_rho))
+    scale_s = np.maximum(1.0, np.abs(g_s))
+    record("eos-partials-vs-finite-difference",
+           max(np.max(np.abs(fd_rho - g_rho) / scale_r),
+               np.max(np.abs(fd_s - g_s) / scale_s)), 1e-6)
+
+    hrr, hrs, hss = eos.bulk_energy_hessian(p, rho, s)
+    fd_rr = (eos.bulk_energy_partials(p, rho + h_rho, s)[0]
+             - eos.bulk_energy_partials(p, rho - h_rho, s)[0]) / (2.0 * h_rho)
+    fd_rs = (eos.bulk_energy_partials(p, rho, s + h_s)[0]
+             - eos.bulk_energy_partials(p, rho, s - h_s)[0]) / (2.0 * h_s)
+    fd_ss = (eos.bulk_energy_partials(p, rho, s + h_s)[1]
+             - eos.bulk_energy_partials(p, rho, s - h_s)[1]) / (2.0 * h_s)
+    record("eos-hessian-vs-finite-difference",
+           max(np.max(np.abs(fd_rr - hrr) / np.maximum(1.0, np.abs(hrr))),
+               np.max(np.abs(fd_rs - hrs) / np.maximum(1.0, np.abs(hrs))),
+               np.max(np.abs(fd_ss - hss) / np.maximum(1.0, np.abs(hss)))), 1e-6)
+
+    s_slaved = eos.entropy_slave(p, rho, dts)
+    t0 = p.T_c - dts
+    mu_full = eos.chemical_potential_full(p, rho, s_slaved, t0)
+    mu_cubic = eos.chemical_potential_cubic(p, rho, dts)
+    record("slaved-chemical-potential-identity",
+           np.max(np.abs(mu_full - mu_cubic) / np.maximum(1.0, np.abs(mu_cubic))), 1e-12)
+
+    worst = 0.0
+    for dt in (1e-1, 1e-2, 1e-3, 1e-4):
+        bc_i = bulk_conditions(p, delta_t=dt)
+        for st in equilibrium.bulk_states(p, bc_i):
+            worst = max(worst,
+                        abs(float(eos.temperature(p, st.rho, st.s)) - bc_i.T0),
+                        abs(float(eos.chemical_potential_full(p, st.rho, st.s, bc_i.T0))
+                            - p.mu_c))
+    record("bulk-states-at-coexistence", worst, 1e-12)
+
+    prof = equilibrium.closed_profile(p, bc, grid)
+    record("profile-equation-residual",
+           np.max(np.abs(equilibrium.reduced_residual(p, bc, prof))), 1e-7)
+    record("first-integral-residual",
+           np.max(np.abs(equilibrium.first_integral_residual(p, bc, prof))), 1e-7)
+
+    sig_c = equilibrium.surface_tension_closed(p, bc)
+    sig_q = equilibrium.surface_tension_quadrature(p, prof)
+    record("surface-tension-quadrature-vs-closed", abs(sig_q - sig_c) / sig_c, 1e-6)
+
+    full_prof, newton = equilibrium.solve_full_bvp(p, bc, grid)
+    record("newton-iterations-from-closed-seed", float(newton.iterations), 10.0)
+    record("equilibrium-stress-residual",
+           equilibrium.equilibrium_stress_residual(p, full_prof), 1e-7)
+
+    n_loci = 100
+    rho_w = p.rho_c * rng.uniform(0.5, 1.5, n_loci)
+    a_w = rng.uniform(-1.0, 1.0, n_loci) * 0.1
+    g2_w = 10.0 ** rng.uniform(-12.0, -2.0, n_loci)
+    det_err = 0.0
+    cel_err = 0.0
+    for rho_i, a_i, g2_i in zip(rho_w, a_w, g2_w):
+        locus = waves.WaveLocus(rho=float(rho_i), grad_s_normal=float(a_i),
+                                grad_s_tg_sq=float(g2_i))
+        v_probe = float(rng.uniform(0.0, 2.0)) * math.sqrt(
+            (p.C * p.E - p.D * p.D) * g2_i / (p.C * rho_i))
+        num = np.linalg.det(waves.jump_matrix(p, locus, v_probe))
+        ref = -rho_i * ((p.C * p.E - p.D * p.D) * g2_i - p.C * rho_i * v_probe ** 2)
+        det_err = max(det_err, abs(num - ref) / max(1e-300, abs(ref)))
+        closed = waves.celerity_general(p, locus)
+        root = waves.celerity_by_determinant(p, locus)
+        cel_err = max(cel_err, abs(closed.v - root.v) / closed.v)
+    record("jump-determinant-identity", det_err, 1e-10)
+    record("celerity-root-vs-closed-form", cel_err, 1e-10)
+
+    v_direct = waves.celerity_at_critical_density(p, bc)
+    v_locus = waves.celerity_general(p, waves.dividing_surface_locus(p, bc))
+    scale = v_direct.v if v_direct.v > 0.0 else 1.0
+    record("dividing-surface-celerity-consistency",
+           abs(v_direct.v - v_locus.v) / scale, 1e-12)
+
+    bc0 = bulk_conditions(p, delta_t=0.0)
+    record("celerity-vanishes-at-critical-point",
+           waves.celerity_at_critical_density(p, bc0).v, 0.0)
+
+    return checks

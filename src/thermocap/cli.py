@@ -17,6 +17,7 @@ failure (divergence, unreachable root, undecayed tails, critical isotherm);
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -26,7 +27,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import eos, equilibrium, scaling, waves
+from . import equilibrium, scaling, waves
+from .checks import run_checks
 from .eos import BulkConditions, FluidParams, bulk_conditions, validate_params
 from .equilibrium import GridConfig
 from .errors import (
@@ -92,10 +94,18 @@ def _format_json(value, indent: int = 0) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    # a random temp name per write, so concurrent runs into one directory
+    # never share a temp file; "x" refuses an existing path and keeps the
+    # umask-derived mode a plain open() gives the artifact
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_json(out_dir: str, name: str, payload) -> None:
@@ -124,6 +134,16 @@ def _check_keys(raw: Mapping, allowed: set, where: str) -> None:
     unknown = set(raw) - allowed
     if unknown:
         raise InvalidConfig(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _number(value, where: str) -> float:
+    """A JSON number as a float; bools (an int subclass) and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidConfig(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise InvalidConfig(f"{where} is out of range: {value!r}") from None
 
 
 def _require_mapping(value, where: str) -> Mapping:
@@ -159,17 +179,18 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raw = _require_mapping(raw, "config")
     _check_keys(raw, _TOP_KEYS, "config")
 
-    p = validate_params(_require_mapping(raw.get("params", {}), "params"))
+    params_raw = _require_mapping(raw.get("params", {}), "params")
+    p = validate_params({k: _number(v, f"params.{k}") for k, v in params_raw.items()})
 
     if "delta_T" in raw and "T0" in raw:
         raise InvalidConfig("config sets both delta_T and T0; pick one")
     mu1 = raw.get("mu1")
-    if mu1 is not None and not isinstance(mu1, (int, float)):
-        raise InvalidConfig("mu1 must be a number")
+    if mu1 is not None:
+        mu1 = _number(mu1, "mu1")
     if "T0" in raw:
-        bc = bulk_conditions(p, T0=float(raw["T0"]), mu1=mu1)
+        bc = bulk_conditions(p, T0=_number(raw["T0"], "T0"), mu1=mu1)
     else:
-        bc = bulk_conditions(p, delta_t=float(raw.get("delta_T", 0.01)), mu1=mu1)
+        bc = bulk_conditions(p, delta_t=_number(raw.get("delta_T", 0.01), "delta_T"), mu1=mu1)
 
     grid_raw = _require_mapping(raw.get("grid", {}), "grid")
     _check_keys(grid_raw, _GRID_KEYS, "grid")
@@ -181,13 +202,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if "tolerances" in sweep_raw:
         tolerances = dict(_require_mapping(sweep_raw["tolerances"], "sweep.tolerances"))
         _check_keys(tolerances, set(EXPONENT_TARGETS), "sweep.tolerances")
-        tolerances = {k: float(v) for k, v in tolerances.items()}
+        tolerances = {k: _number(v, f"sweep.tolerances.{k}") for k, v in tolerances.items()}
     sweep_kwargs = {}
     if "delta_t_values" in sweep_raw:
         vals = sweep_raw["delta_t_values"]
         if not isinstance(vals, (list, tuple)):
             raise InvalidConfig("sweep.delta_t_values must be an array")
-        sweep_kwargs["delta_t_values"] = tuple(float(v) for v in vals)
+        sweep_kwargs["delta_t_values"] = tuple(_number(v, f"sweep.delta_t_values[{i}]")
+                                               for i, v in enumerate(vals))
     use_full = sweep_raw.get("use_full_solver", False)
     if not isinstance(use_full, bool):
         raise InvalidConfig(f"sweep.use_full_solver must be true or false, got {use_full!r}")
@@ -288,116 +310,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK if summary.all_passed else EXIT_VERIFICATION
 
 
-def _run_checks(cfg: RunConfig) -> list[dict]:
-    """Cross-module invariant suite; each entry is one named check."""
-    rng = np.random.default_rng(cfg.seed)
-    p = cfg.params
-    checks: list[dict] = []
-
-    def record(name: str, metric: float, threshold: float):
-        checks.append({"name": name, "metric": float(metric),
-                       "threshold": threshold, "passed": bool(metric <= threshold)})
-
-    # sample physically scaled states: densities inside the coexistence
-    # bracket at random undercoolings, entropies near the slaved value
-    n = 200
-    dts = 10.0 ** rng.uniform(-4.0, -1.0, n)
-    m = rng.uniform(-1.0, 1.0, n) * np.sqrt(p.A * dts / p.B)
-    rho = p.rho_c + m
-    s = eos.entropy_slave(p, rho, dts) * rng.uniform(0.5, 1.5, n)
-
-    h_rho = 6e-6 * np.maximum(1.0, np.abs(rho))
-    h_s = 6e-6 * np.maximum(1.0, np.abs(s))
-    g_rho, g_s = eos.bulk_energy_partials(p, rho, s)
-    fd_rho = (eos.bulk_energy(p, rho + h_rho, s)
-              - eos.bulk_energy(p, rho - h_rho, s)) / (2.0 * h_rho)
-    fd_s = (eos.bulk_energy(p, rho, s + h_s)
-            - eos.bulk_energy(p, rho, s - h_s)) / (2.0 * h_s)
-    scale_r = np.maximum(1.0, np.abs(g_rho))
-    scale_s = np.maximum(1.0, np.abs(g_s))
-    record("eos-partials-vs-finite-difference",
-           max(np.max(np.abs(fd_rho - g_rho) / scale_r),
-               np.max(np.abs(fd_s - g_s) / scale_s)), 1e-6)
-
-    hrr, hrs, hss = eos.bulk_energy_hessian(p, rho, s)
-    fd_rr = (eos.bulk_energy_partials(p, rho + h_rho, s)[0]
-             - eos.bulk_energy_partials(p, rho - h_rho, s)[0]) / (2.0 * h_rho)
-    fd_rs = (eos.bulk_energy_partials(p, rho, s + h_s)[0]
-             - eos.bulk_energy_partials(p, rho, s - h_s)[0]) / (2.0 * h_s)
-    fd_ss = (eos.bulk_energy_partials(p, rho, s + h_s)[1]
-             - eos.bulk_energy_partials(p, rho, s - h_s)[1]) / (2.0 * h_s)
-    record("eos-hessian-vs-finite-difference",
-           max(np.max(np.abs(fd_rr - hrr) / np.maximum(1.0, np.abs(hrr))),
-               np.max(np.abs(fd_rs - hrs) / np.maximum(1.0, np.abs(hrs))),
-               np.max(np.abs(fd_ss - hss) / np.maximum(1.0, np.abs(hss)))), 1e-6)
-
-    s_slaved = eos.entropy_slave(p, rho, dts)
-    t0 = p.T_c - dts
-    mu_full = eos.chemical_potential_full(p, rho, s_slaved, t0)
-    mu_cubic = eos.chemical_potential_cubic(p, rho, dts)
-    record("slaved-chemical-potential-identity",
-           np.max(np.abs(mu_full - mu_cubic) / np.maximum(1.0, np.abs(mu_cubic))), 1e-12)
-
-    worst = 0.0
-    for dt in (1e-1, 1e-2, 1e-3, 1e-4):
-        bc_i = bulk_conditions(p, delta_t=dt)
-        for st in equilibrium.bulk_states(p, bc_i):
-            worst = max(worst,
-                        abs(float(eos.temperature(p, st.rho, st.s)) - bc_i.T0),
-                        abs(float(eos.chemical_potential_full(p, st.rho, st.s, bc_i.T0))
-                            - p.mu_c))
-    record("bulk-states-at-coexistence", worst, 1e-12)
-
-    prof = equilibrium.closed_profile(p, cfg.bc, cfg.grid)
-    record("profile-equation-residual",
-           np.max(np.abs(equilibrium.reduced_residual(p, cfg.bc, prof))), 1e-7)
-    record("first-integral-residual",
-           np.max(np.abs(equilibrium.first_integral_residual(p, cfg.bc, prof))), 1e-7)
-
-    sig_c = equilibrium.surface_tension_closed(p, cfg.bc)
-    sig_q = equilibrium.surface_tension_quadrature(p, prof)
-    record("surface-tension-quadrature-vs-closed", abs(sig_q - sig_c) / sig_c, 1e-6)
-
-    full_prof, newton = equilibrium.solve_full_bvp(p, cfg.bc, cfg.grid)
-    record("newton-iterations-from-closed-seed", float(newton.iterations), 10.0)
-    record("equilibrium-stress-residual",
-           equilibrium.equilibrium_stress_residual(p, full_prof), 1e-7)
-
-    n_loci = 100
-    rho_w = p.rho_c * rng.uniform(0.5, 1.5, n_loci)
-    a_w = rng.uniform(-1.0, 1.0, n_loci) * 0.1
-    g2_w = 10.0 ** rng.uniform(-12.0, -2.0, n_loci)
-    det_err = 0.0
-    cel_err = 0.0
-    for rho_i, a_i, g2_i in zip(rho_w, a_w, g2_w):
-        locus = waves.WaveLocus(rho=float(rho_i), grad_s_normal=float(a_i),
-                                grad_s_tg_sq=float(g2_i))
-        v_probe = float(rng.uniform(0.0, 2.0)) * math.sqrt(
-            (p.C * p.E - p.D * p.D) * g2_i / (p.C * rho_i))
-        num = np.linalg.det(waves.jump_matrix(p, locus, v_probe))
-        ref = -rho_i * ((p.C * p.E - p.D * p.D) * g2_i - p.C * rho_i * v_probe ** 2)
-        det_err = max(det_err, abs(num - ref) / max(1e-300, abs(ref)))
-        closed = waves.celerity_general(p, locus)
-        root = waves.celerity_by_determinant(p, locus)
-        cel_err = max(cel_err, abs(closed.v - root.v) / closed.v)
-    record("jump-determinant-identity", det_err, 1e-10)
-    record("celerity-root-vs-closed-form", cel_err, 1e-10)
-
-    v_direct = waves.celerity_at_critical_density(p, cfg.bc)
-    v_locus = waves.celerity_general(p, waves.dividing_surface_locus(p, cfg.bc))
-    scale = v_direct.v if v_direct.v > 0.0 else 1.0
-    record("dividing-surface-celerity-consistency",
-           abs(v_direct.v - v_locus.v) / scale, 1e-12)
-
-    bc0 = bulk_conditions(p, delta_t=0.0)
-    record("celerity-vanishes-at-critical-point",
-           waves.celerity_at_critical_density(p, bc0).v, 0.0)
-
-    return checks
-
-
 def cmd_check(cfg: RunConfig) -> int:
-    checks = _run_checks(cfg)
+    checks = run_checks(cfg.params, cfg.bc, cfg.grid, cfg.seed)
     width = max(len(c["name"]) for c in checks)
     lines = [f"{'check'.ljust(width)}  status  metric      threshold"]
     for c in checks:

@@ -14,9 +14,11 @@ solver uses plain 2nd-order central differences (keeps the Jacobian banded);
 all diagnostics use 4th-order stencils so discretization error of the
 diagnostic never masks the quantity being diagnosed.
 
-Only the full route needs scipy (for the banded LAPACK solve), and it
-imports scipy.linalg on first use, so the closed route and the diagnostics
-run on numpy alone.
+Each Newton step is one direct LAPACK dgbsv call on a Fortran-ordered band
+buffer that the Jacobian is assembled into, so the binding hands LAPACK the
+buffer itself, with no copy or transpose.  Only the full route needs scipy
+(for that LAPACK binding), and it imports scipy.linalg on first use, so the
+closed route and the diagnostics run on numpy alone.
 """
 
 from __future__ import annotations
@@ -335,27 +337,20 @@ def _coupled_residual(p: FluidParams, bc: BulkConditions, rho: np.ndarray,
     return out
 
 
-def _coupled_jacobian_banded(p: FluidParams, bc: BulkConditions, rho: np.ndarray,
-                             s: np.ndarray, h: float) -> np.ndarray:
-    """Banded (l = u = 3) Jacobian of _coupled_residual, LAPACK layout.
+_KL = _KU = 3  # half-bandwidths of the interleaved block-tridiagonal Jacobian
 
-    Unknowns interleave as (rho_1, s_1, rho_2, s_2, ...); each grid node
-    contributes a symmetric 2x2 block, so the matrix is block-tridiagonal.
-    ab[3 + i - j, j] = J[i, j].
+
+def _neighbour_band(p: FluidParams, q: int, h: float) -> np.ndarray:
+    """The Jacobian's constant part in LAPACK gbsv storage.
+
+    gbsv wants a Fortran-ordered (2*kl + ku + 1, 2q) buffer whose first kl
+    rows are workspace for the LU fill-in and whose remaining rows hold the
+    band.  The neighbour blocks [[C, D], [D, E]] / h^2 do not depend on the
+    iterate, so they are written once per solve; everything else is zero.
     """
     c2 = 1.0 / (h * h)
-    h_rr, h_rs, h_ss = bulk_energy_hessian(p, rho[1:-1], s[1:-1])
-    cross = h_rs - bc.T0  # d(rhs_1)/ds == d(rhs_2)/drho
-    q = rho.size - 2
-    ab = np.zeros((7, 2 * q))
-    even = slice(0, 2 * q, 2)
-    odd = slice(1, 2 * q, 2)
-    # diagonal blocks
-    ab[3, even] = -2.0 * p.C * c2 - h_rr
-    ab[3, odd] = -2.0 * p.E * c2 - h_ss
-    ab[2, odd] = -2.0 * p.D * c2 - cross            # J[2k, 2k+1]
-    ab[4, even] = -2.0 * p.D * c2 - cross           # J[2k+1, 2k]
-    # neighbor blocks, constant [[C, D], [D, E]] / h^2
+    buf = np.zeros((2 * _KL + _KU + 1, 2 * q), order="F")
+    ab = buf[_KL:]
     ab[1, 2::2] = p.C * c2                          # J[2k, 2k+2]
     ab[1, 3::2] = p.E * c2                          # J[2k+1, 2k+3]
     ab[5, 0:2 * q - 2:2] = p.C * c2                 # J[2k, 2k-2]
@@ -364,6 +359,35 @@ def _coupled_jacobian_banded(p: FluidParams, bc: BulkConditions, rho: np.ndarray
     ab[2, 2::2] = p.D * c2                          # J[2k+1, 2k+2]
     ab[4, 1:2 * q - 2:2] = p.D * c2                 # J[2k, 2k-1]
     ab[6, 0:2 * q - 2:2] = p.D * c2                 # J[2k+1, 2k-2]
+    return buf
+
+
+def _coupled_jacobian_banded(p: FluidParams, bc: BulkConditions, rho: np.ndarray,
+                             s: np.ndarray, h: float, neighbours: np.ndarray | None = None,
+                             out: np.ndarray | None = None) -> np.ndarray:
+    """Banded (l = u = 3) Jacobian of _coupled_residual, LAPACK layout.
+
+    Unknowns interleave as (rho_1, s_1, rho_2, s_2, ...); each grid node
+    contributes a symmetric 2x2 block, so the matrix is block-tridiagonal.
+    The return value is the band view out[3:] of a gbsv buffer (see
+    _neighbour_band), with ab[3 + i - j, j] = J[i, j].  The Newton loop
+    passes its per-solve neighbour template and one work buffer `out`,
+    which is overwritten; both are made here when omitted.
+    """
+    if neighbours is None:
+        neighbours = _neighbour_band(p, rho.size - 2, h)
+    if out is None:
+        out = np.empty_like(neighbours)  # keeps Fortran order
+    np.copyto(out, neighbours)
+    c2 = 1.0 / (h * h)
+    h_rr, h_rs, h_ss = bulk_energy_hessian(p, rho[1:-1], s[1:-1])
+    cross = h_rs - bc.T0  # d(rhs_1)/ds == d(rhs_2)/drho
+    ab = out[_KL:]
+    # diagonal blocks
+    ab[3, 0::2] = -2.0 * p.C * c2 - h_rr
+    ab[3, 1::2] = -2.0 * p.E * c2 - h_ss
+    ab[2, 1::2] = -2.0 * p.D * c2 - cross           # J[2k, 2k+1]
+    ab[4, 0::2] = -2.0 * p.D * c2 - cross           # J[2k+1, 2k]
     return ab
 
 
@@ -374,7 +398,11 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
 
     Dirichlet data are the exact bulk states; the initial guess is the
     closed-form profile, which is accurate to O(delta_t) and puts Newton
-    straight into its quadratic regime.
+    straight into its quadratic regime.  Each step is a direct dgbsv on a
+    Fortran band buffer: the constant neighbour blocks are laid out once per
+    solve, and each iteration copies them into the work buffer, adds the
+    Hessian-dependent entries and factors it in place.  A non-finite system
+    or a singular Jacobian raises NewtonDiverged with the report so far.
 
     The line search is non-monotone on purpose.  Wide domains leave the
     interface nearly free to translate, so the Jacobian has one almost-zero
@@ -390,8 +418,9 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
     away from y = 0, since any translate this deep inside the valley
     satisfies the equations to below the tolerance.
     """
-    from scipy.linalg import solve_banded  # kept off the package's import path
+    from scipy.linalg import get_lapack_funcs  # kept off the package's import path
 
+    gbsv, = get_lapack_funcs(("gbsv",), dtype=np.float64)
     seed = closed_profile(p, bc, g)
     liquid, vapor = bulk_states(p, bc)
     y, h = seed.y, seed.h
@@ -406,13 +435,29 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
     best = (rnorm, rho.copy(), s.copy())
     damping: list[int] = []
     iterations = 0
-    while rnorm > tol:
+    neighbours = _neighbour_band(p, rho.size - 2, h)
+    work = np.empty_like(neighbours)  # gbsv overwrites it with the LU factors
+
+    def failed() -> NewtonReport:
+        return NewtonReport(iterations, best[0], False, tuple(damping), tol)
+
+    while not rnorm <= tol:  # a NaN residual enters the loop and meets the guard
         if iterations >= max_iter:
-            report = NewtonReport(iterations, best[0], False, tuple(damping), tol)
             raise MaxIterations(
-                f"no convergence in {max_iter} iterations (residual {best[0]:.3e})", report)
-        ab = _coupled_jacobian_banded(p, bc, rho, s, h)
-        step = solve_banded((3, 3), ab, -res)
+                f"no convergence in {max_iter} iterations (residual {best[0]:.3e})", failed())
+        _coupled_jacobian_banded(p, bc, rho, s, h, neighbours, work)
+        rhs = -res
+        # the contiguous buffer scans faster than its band view
+        if not (np.isfinite(work).all() and np.isfinite(rhs).all()):
+            raise NewtonDiverged(
+                f"non-finite Newton system at iteration {iterations}", failed())
+        _, _, step, info = gbsv(_KL, _KU, work, rhs, overwrite_ab=True, overwrite_b=True)
+        if info > 0:
+            raise NewtonDiverged(
+                f"singular Jacobian at iteration {iterations} (zero pivot in column {info})",
+                failed())
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgbsv")
         cap = max(recent)
         lam, cuts = 1.0, 0
         while True:
@@ -426,10 +471,9 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
                 break
             cuts += 1
             if cuts > max_damping:
-                report = NewtonReport(iterations, best[0], False, tuple(damping), tol)
                 raise NewtonDiverged(
                     f"residual stuck at {best[0]:.3e} after {max_damping} step halvings",
-                    report)
+                    failed())
             lam *= 0.5
         rho, s, res, rnorm = trial_rho, trial_s, trial_res, trial_norm
         if rnorm < best[0]:

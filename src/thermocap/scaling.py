@@ -159,13 +159,22 @@ class ScalingReport:
 
 @dataclass(frozen=True)
 class VerificationSummary:
-    """Per-law pass/fail verdicts for a scaling report."""
+    """Per-law pass/fail verdicts for a scaling report.
+
+    failed_rows counts the rows whose solve failed (their error is set); any
+    such row fails the verdict, since the fits then rest on fewer points
+    than were asked for.
+    """
 
     verdicts: Mapping[str, bool]
     all_passed: bool
+    failed_rows: int = 0
 
     def to_dict(self) -> dict:
-        return {"laws": dict(self.verdicts), "all_passed": self.all_passed}
+        out = {"laws": dict(self.verdicts), "all_passed": self.all_passed}
+        if self.failed_rows:  # absent when zero: passing artifacts keep their bytes
+            out["failed_rows"] = self.failed_rows
+        return out
 
 
 def fit_exponent(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
@@ -265,9 +274,9 @@ def run_sweep(p: FluidParams, cfg: SweepConfig) -> ScalingReport:
     """Measure all observables across the configured undercoolings.
 
     A failure at one undercooling marks that row with the error message and
-    the sweep continues; fits use the surviving rows.  The deviation law
-    only exists in full-solver mode (the closed mode's deviation is
-    identically zero).
+    the sweep continues; fits use the surviving rows, and verify_exponents
+    fails the report for the failed ones.  The deviation law only exists in
+    full-solver mode (the closed mode's deviation is identically zero).
     """
     rows = []
     for delta_t in cfg.delta_t_values:
@@ -310,6 +319,9 @@ def verify_exponents(report: ScalingReport,
                      tolerances: Optional[Mapping[str, float]] = None) -> VerificationSummary:
     """Compare fitted slopes to targets; a law with no usable fit fails.
 
+    A row that failed to solve fails the whole verdict even when every law
+    still fits on the surviving rows.
+
     Failures come back as data, never as exceptions: the sweep report is a
     regression artifact, and its consumer decides how loud to be.
     """
@@ -324,7 +336,10 @@ def verify_exponents(report: ScalingReport,
         if tolerances is not None and law in tolerances:
             fit = replace(fit, tolerance=float(tolerances[law]))
         verdicts[law] = fit.passed
-    return VerificationSummary(verdicts=verdicts, all_passed=all(verdicts.values()))
+    failed_rows = sum(r.error is not None for r in report.rows)
+    return VerificationSummary(verdicts=verdicts,
+                               all_passed=all(verdicts.values()) and not failed_rows,
+                               failed_rows=failed_rows)
 
 
 def report_to_csv(report: ScalingReport, stream) -> None:

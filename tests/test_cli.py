@@ -155,6 +155,20 @@ def test_sweep_unreachable_tolerance_fails_but_reports(tmp_path):
     assert (out / "sweep.csv").exists()
 
 
+def test_sweep_with_a_failed_row_fails_verification(tmp_path):
+    # delta_T = 0.5 exhausts the Newton budget; the five rows left still fit
+    # every law, but a requested row that is missing must fail the verdict
+    config = {"sweep": {"delta_t_values": [0.5, 0.01, 0.003, 0.001, 0.0003, 0.0001]}}
+    proc, out = run_cli(tmp_path, "sweep", "--full", config=config)
+    assert proc.returncode == 4, proc.stderr
+    data = read_json(out / "scaling.json")
+    assert data["rows"][0]["error"].startswith("MaxIterations")
+    assert all(row["error"] is None for row in data["rows"][1:])
+    assert all(data["verification"]["laws"].values())
+    assert data["verification"]["failed_rows"] == 1
+    assert data["verification"]["all_passed"] is False
+
+
 def test_sweep_rejects_single_undercooling(tmp_path):
     proc, out = run_cli(tmp_path, "sweep",
                         config={"sweep": {"delta_t_values": [1e-2]}})
@@ -236,6 +250,15 @@ def test_json_output_is_normalized(tmp_path):
     # bool("false") is True: only a JSON bool may select the solver
     {"sweep": {"use_full_solver": "false"}},
     {"sweep": {"use_full_solver": 0}},
+    # a JSON bool is not a number, though Python's float() takes it as 0/1
+    {"delta_T": True},
+    {"T0": True},
+    {"mu1": True},
+    {"params": {"A": True}},
+    {"sweep": {"delta_t_values": [True, 0.1, 0.01, 0.001]}},
+    {"sweep": {"tolerances": {"v": True}}},
+    {"delta_T": "0.1"},
+    {"delta_T": 10 ** 400},  # an integer literal no float can hold
 ])
 def test_bad_configs_exit_2(tmp_path, config):
     proc, out = run_cli(tmp_path, "profile", config=config)
@@ -251,6 +274,18 @@ def test_out_naming_a_file_exits_2(tmp_path):
     assert proc.stderr.startswith("config error:")
     assert "Traceback" not in proc.stderr
     assert (tmp_path / "taken").read_text() == "not a directory"
+
+
+def test_stale_temp_path_does_not_block_artifacts(tmp_path):
+    # temp names are unique per write, so whatever sits at "<file>.tmp"
+    # (a crashed run's leftover, here a directory) is never touched
+    out = tmp_path / "out"
+    (out / "observables.json.tmp").mkdir(parents=True)
+    proc, _ = run_cli(tmp_path, "profile")
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(f.name for f in out.iterdir()) == [
+        "observables.json", "observables.json.tmp", "profile.csv"]
+    assert read_json(out / "observables.json")["provenance"] == "closed-form"
 
 
 def test_malformed_config_file_exits_2(tmp_path):

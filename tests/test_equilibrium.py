@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import simpson, solve_bvp
 
 from thermocap import (
@@ -29,6 +30,7 @@ from thermocap import (
     surface_tension_closed,
     surface_tension_quadrature,
 )
+from thermocap import cli, equilibrium
 from thermocap.eos import bulk_energy_partials
 from thermocap.equilibrium import (
     NewtonReport,
@@ -42,7 +44,7 @@ from thermocap.equilibrium import (
     _coupled_jacobian_banded,
     _coupled_residual,
 )
-from thermocap.errors import CriticalIsotherm, InvalidConfig, UndecayedTail
+from thermocap.errors import CriticalIsotherm, InvalidConfig, NewtonDiverged, UndecayedTail
 
 P0 = FluidParams()
 BC = bulk_conditions(P0, delta_t=0.01)
@@ -337,6 +339,63 @@ def test_banded_jacobian_matches_finite_differences():
         bumped[j] += step
         fd[:, j] = (residual_of(bumped) - base) / step
     np.testing.assert_allclose(dense, fd, rtol=2e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("n", [51, 1001, 16001])
+@pytest.mark.parametrize("dt", [1e-1, 1e-4])
+def test_newton_steps_match_solve_banded_bit_for_bit(monkeypatch, n, dt):
+    # every step the solver takes with its Fortran buffer and a direct dgbsv
+    # equals scipy's solve_banded on the same Jacobian and right-hand side
+    real_gbsv, = scipy.linalg.get_lapack_funcs(("gbsv",), dtype=np.float64)
+    calls = []
+
+    def checked_gbsv(kl, ku, ab, b, overwrite_ab=False, overwrite_b=False):
+        assert (kl, ku) == (3, 3) and ab.shape == (10, b.size)
+        assert ab.flags.f_contiguous and not ab[:kl].any()
+        expected = scipy.linalg.solve_banded((kl, ku), ab[kl:], b)
+        lu, piv, x, info = real_gbsv(kl, ku, ab, b, overwrite_ab=overwrite_ab,
+                                     overwrite_b=overwrite_b)
+        assert info == 0 and np.array_equal(x, expected)
+        assert np.shares_memory(lu, ab) and np.shares_memory(x, b)  # factored in place
+        calls.append(b.size)
+        return lu, piv, x, info
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, dtype: (checked_gbsv,))
+    bc = bulk_conditions(P0, delta_t=dt)
+    _, report = solve_full_bvp(P0, bc, GridConfig(n_points=n))
+    assert report.converged and len(calls) == report.iterations >= 1
+
+
+def test_singular_newton_system_raises_with_report(monkeypatch, capsys, tmp_path):
+    def singular_gbsv(kl, ku, ab, b, overwrite_ab=False, overwrite_b=False):
+        return ab, np.zeros(b.size, dtype=np.int32), b, 5  # U[4, 4] == 0
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, dtype: (singular_gbsv,))
+    with pytest.raises(NewtonDiverged, match="singular Jacobian") as info:
+        solve_full_bvp(P0, BC)
+    assert info.value.report.iterations == 0 and not info.value.report.converged
+    # the CLI turns it into the documented numerical-failure exit with the report
+    assert cli.main(["profile", "--full", "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "NewtonDiverged: singular Jacobian" in err and '"converged": false' in err
+
+
+@pytest.mark.parametrize("target", ["_coupled_residual", "bulk_energy_hessian"])
+def test_non_finite_newton_system_raises_with_report(monkeypatch, target):
+    # a NaN in the right-hand side or in the Jacobian stops the solve with a
+    # named error instead of reaching LAPACK (or passing as converged)
+    real = getattr(equilibrium, target)
+
+    def poisoned(*args):
+        out = real(*args)
+        first = out[0] if isinstance(out, tuple) else out
+        first[first.size // 2] = math.nan
+        return out
+
+    monkeypatch.setattr(equilibrium, target, poisoned)
+    with pytest.raises(NewtonDiverged, match="non-finite Newton system") as info:
+        solve_full_bvp(P0, BC)
+    assert info.value.report.iterations == 0 and not info.value.report.converged
 
 
 def test_full_solution_matches_independent_collocation_solver():

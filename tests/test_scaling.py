@@ -7,6 +7,7 @@ full-vs-reduced deviation 1.
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from thermocap.scaling import (
     CSV_HEADER,
     EXPONENT_TARGETS,
     SweepConfig,
+    SweepRow,
     measured_width,
     report_to_csv,
     tanh_deviation,
@@ -176,6 +178,21 @@ def test_sweep_isolates_row_failures():
     assert all(math.isnan(r.sigma_quad) for r in report.rows)
     summary = verify_exponents(report)
     assert summary.all_passed is False
+
+
+def test_a_failed_row_fails_the_verdict():
+    # every fit still passes after the last row is swapped for a failed one,
+    # so only the row count can flag the missing undercooling
+    report = run_sweep(P0, SweepConfig(delta_t_values=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5)))
+    broken = replace(report, rows=report.rows[:-1] + (
+        SweepRow(delta_t=1e-5, error="MaxIterations: no convergence"),))
+    refit = verify_exponents(broken)
+    assert all(refit.verdicts.values())
+    assert refit.failed_rows == 1 and refit.all_passed is False
+    assert refit.to_dict()["failed_rows"] == 1
+    clean = verify_exponents(report)
+    assert clean.failed_rows == 0 and clean.all_passed is True
+    assert "failed_rows" not in clean.to_dict()
 
 
 def test_report_csv_layout():
