@@ -3,7 +3,8 @@
 Four subcommands: ``profile`` computes an interface profile and its
 observables, ``celerity`` the tangential wave speed by both routes,
 ``sweep`` the scaling report across undercoolings, and ``check`` a
-cross-module invariant suite.  Everything is deterministic: one seed (from
+cross-module invariant suite; ``sweep`` and ``check`` print their
+PASS/FAIL verdict table.  Everything is deterministic: one seed (from
 the config or --seed) drives all sampling and is recorded in every JSON
 artifact, floats are written with 17 significant digits, and files are
 written to a temp name and atomically renamed so failures leave no partial
@@ -48,7 +49,7 @@ EXIT_VERIFICATION = 4
 
 _CONFIG_ERRORS = (InvalidConfig, NonPositiveConstant, IndefiniteGradientForm)
 
-_TOP_KEYS = {"params", "delta_T", "T0", "mu1", "grid", "sweep", "format", "seed", "out"}
+_TOP_KEYS = {"params", "delta_T", "T0", "grid", "sweep", "format", "seed", "out"}
 _GRID_KEYS = {"half_width_in_zeta", "n_points"}
 _SWEEP_KEYS = {"delta_t_values", "use_full_solver", "tolerances"}
 _LOCUS_KEYS = ("rho", "a", "g2")
@@ -184,13 +185,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
     if "delta_T" in raw and "T0" in raw:
         raise InvalidConfig("config sets both delta_T and T0; pick one")
-    mu1 = raw.get("mu1")
-    if mu1 is not None:
-        mu1 = _number(mu1, "mu1")
     if "T0" in raw:
-        bc = bulk_conditions(p, T0=_number(raw["T0"], "T0"), mu1=mu1)
+        bc = bulk_conditions(p, T0=_number(raw["T0"], "T0"))
     else:
-        bc = bulk_conditions(p, delta_t=_number(raw.get("delta_T", 0.01), "delta_T"), mu1=mu1)
+        bc = bulk_conditions(p, delta_t=_number(raw.get("delta_T", 0.01), "delta_T"))
 
     grid_raw = _require_mapping(raw.get("grid", {}), "grid")
     _check_keys(grid_raw, _GRID_KEYS, "grid")
@@ -292,9 +290,30 @@ def cmd_celerity(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _sweep_table(report: scaling.ScalingReport, summary: scaling.VerificationSummary) -> str:
+    width = max(len("law"), *map(len, summary.verdicts))
+    lines = [f"{'law'.ljust(width)}  status  slope     target   tolerance"]
+    for law, passed in summary.verdicts.items():
+        status = "PASS" if passed else "FAIL"
+        fit = summary.fits.get(law)
+        if fit is None:
+            lines.append(f"{law.ljust(width)}  {status:6}  "
+                         "no fit: fewer than 2 usable rows spanning a decade")
+        else:
+            lines.append(f"{law.ljust(width)}  {status:6}  {fit.slope:+.5f}  "
+                         f"{fit.target:+.4f}  {fit.tolerance:.4g}")
+    n_pass = sum(summary.verdicts.values())
+    lines.append(f"{n_pass}/{len(summary.verdicts)} laws passed")
+    for row in report.rows:
+        if row.error is not None:
+            lines.append(f"failed row delta_t={row.delta_t:.6g}: {row.error}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     report = scaling.run_sweep(cfg.params, cfg.sweep)
     summary = scaling.verify_exponents(report, cfg.tolerances)
+    sys.stdout.write(_sweep_table(report, summary))
     _ensure_out(cfg)
     if cfg.fmt in ("csv", "both"):
         import io

@@ -114,18 +114,18 @@ class ThermoState:
 class BulkConditions:
     """Imposed environment of an equilibrium profile.
 
-    T0 is the uniform temperature of the planar interface problem, mu1 the
-    chemical-potential constant of the profile equation (equal to mu_c unless
-    explicitly overridden) and delta_t = T_c - T0 >= 0 the undercooling,
-    cached because every closed form is written in it.
+    T0 is the uniform temperature of the planar interface problem and
+    delta_t = T_c - T0 >= 0 the undercooling, cached because every closed
+    form is written in it.  The chemical-potential constant of the profile
+    equation is always mu_c: for this EOS a planar two-phase front exists
+    at no other value.
     """
 
     T0: float
-    mu1: float
     delta_t: float
 
     def __post_init__(self):
-        for name in ("T0", "mu1", "delta_t"):
+        for name in ("T0", "delta_t"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite")
         if self.delta_t < 0.0:
@@ -135,7 +135,7 @@ class BulkConditions:
 
 
 def bulk_conditions(p: FluidParams, *, delta_t: float | None = None,
-                    T0: float | None = None, mu1: float | None = None) -> BulkConditions:
+                    T0: float | None = None) -> BulkConditions:
     """Construct BulkConditions from either the undercooling or T0 directly."""
     if (delta_t is None) == (T0 is None):
         raise InvalidConfig("specify exactly one of delta_t or T0")
@@ -144,8 +144,7 @@ def bulk_conditions(p: FluidParams, *, delta_t: float | None = None,
     else:
         delta_t = float(delta_t)
         T0 = p.T_c - delta_t
-    return BulkConditions(T0=float(T0), mu1=p.mu_c if mu1 is None else float(mu1),
-                          delta_t=delta_t)
+    return BulkConditions(T0=float(T0), delta_t=delta_t)
 
 
 # ---------------------------------------------------------------------------

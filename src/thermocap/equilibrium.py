@@ -5,7 +5,7 @@ The closed route slaves the entropy to the density and solves the single
 density equation analytically: a tanh front of width zeta connecting the
 two bulk densities.  The full route discretizes the coupled system
 
-    C rho'' + D s'' = d(rho*alpha)/drho - s*T0 - mu1
+    C rho'' + D s'' = d(rho*alpha)/drho - s*T0 - mu_c
     D rho'' + E s'' = d(rho*alpha)/ds   - rho*T0
 
 on [-L, L] with Dirichlet data from the exact bulk states and solves it by
@@ -16,14 +16,19 @@ diagnostic never masks the quantity being diagnosed.
 
 Each Newton step is one direct LAPACK dgbsv call on a Fortran-ordered band
 buffer that the Jacobian is assembled into, so the binding hands LAPACK the
-buffer itself, with no copy or transpose.  Only the full route needs scipy
-(for that LAPACK binding), and it imports scipy.linalg on first use, so the
-closed route and the diagnostics run on numpy alone.
+buffer itself, with no copy or transpose.  Only the full route needs scipy,
+and only for that LAPACK routine: on first use it loads scipy's compiled
+extension scipy.linalg._flapack on its own (see _dgbsv), never the scipy
+or scipy.linalg packages, so no route pays the scipy.linalg import.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,14 +299,14 @@ def simpson_uniform(f: np.ndarray, h: float) -> float:
 def reduced_residual(p: FluidParams, bc: BulkConditions, prof: Profile) -> np.ndarray:
     """Pointwise defect of the reduced profile equation.
 
-    C rho'' - (B m^3 - A delta_t m + mu_c - mu1) with m = rho - rho_c,
+    C rho'' - (B m^3 - A delta_t m) with m = rho - rho_c,
     evaluated with the 4th-order second-difference stencil on the nodes
     2..n-3 where it applies.  The stencil acts on rho - rho_c, which has the
     same second derivative but two fewer digits of cancellation.
     """
     m = prof.rho - p.rho_c
     d2 = second_derivative_4th(m, prof.h)
-    rhs = chemical_potential_cubic(p, prof.rho[2:-2], bc.delta_t) - bc.mu1
+    rhs = chemical_potential_cubic(p, prof.rho[2:-2], bc.delta_t) - p.mu_c
     return p.C * d2 - rhs
 
 
@@ -329,7 +334,7 @@ def _coupled_residual(p: FluidParams, bc: BulkConditions, rho: np.ndarray,
     lap_rho = (rho[:-2] - 2.0 * rho[1:-1] + rho[2:]) * c2
     lap_s = (s[:-2] - 2.0 * s[1:-1] + s[2:]) * c2
     d_rho, d_s = bulk_energy_partials(p, rho[1:-1], s[1:-1])
-    f1 = p.C * lap_rho + p.D * lap_s - (d_rho - s[1:-1] * bc.T0 - bc.mu1)
+    f1 = p.C * lap_rho + p.D * lap_s - (d_rho - s[1:-1] * bc.T0 - p.mu_c)
     f2 = p.D * lap_rho + p.E * lap_s - (d_s - rho[1:-1] * bc.T0)
     out = np.empty(2 * f1.size)
     out[0::2] = f1
@@ -338,6 +343,30 @@ def _coupled_residual(p: FluidParams, bc: BulkConditions, rho: np.ndarray,
 
 
 _KL = _KU = 3  # half-bandwidths of the interleaved block-tridiagonal Jacobian
+
+
+@functools.cache
+def _dgbsv():
+    """scipy's compiled dgbsv, without importing scipy or scipy.linalg.
+
+    The package route, scipy.linalg.get_lapack_funcs, loads some 330
+    modules and costs about 0.3 s for this one routine.  Instead the f2py
+    extension that holds it is located in scipy's install directory and run
+    on its own; it is the same extension module the package imports, so the
+    returned object is the one get_lapack_funcs(("gbsv",)) gives.  When the
+    extension is not found there (an editable build, say), the package route
+    is taken.
+    """
+    package = importlib.util.find_spec("scipy")  # locates scipy, runs none of it
+    spec = None if package is None else importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack",
+        [os.path.join(d, "linalg") for d in package.submodule_search_locations])
+    if spec is None:  # also where scipy is missing: the import below then says so
+        from scipy.linalg import get_lapack_funcs
+        return get_lapack_funcs(("gbsv",), dtype=np.float64)[0]
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgbsv
 
 
 def _neighbour_band(p: FluidParams, q: int, h: float) -> np.ndarray:
@@ -401,8 +430,10 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
     straight into its quadratic regime.  Each step is a direct dgbsv on a
     Fortran band buffer: the constant neighbour blocks are laid out once per
     solve, and each iteration copies them into the work buffer, adds the
-    Hessian-dependent entries and factors it in place.  A non-finite system
-    or a singular Jacobian raises NewtonDiverged with the report so far.
+    Hessian-dependent entries and factors it in place.  The routine is
+    scipy's compiled one, loaded by _dgbsv without importing scipy.linalg.
+    A non-finite system or a singular Jacobian raises NewtonDiverged with
+    the report so far.
 
     The line search is non-monotone on purpose.  Wide domains leave the
     interface nearly free to translate, so the Jacobian has one almost-zero
@@ -418,9 +449,7 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
     away from y = 0, since any translate this deep inside the valley
     satisfies the equations to below the tolerance.
     """
-    from scipy.linalg import get_lapack_funcs  # kept off the package's import path
-
-    gbsv, = get_lapack_funcs(("gbsv",), dtype=np.float64)
+    gbsv = _dgbsv()
     seed = closed_profile(p, bc, g)
     liquid, vapor = bulk_states(p, bc)
     y, h = seed.y, seed.h

@@ -13,7 +13,7 @@ discrete data rather than from formulas, and fits log-log slopes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -163,12 +163,14 @@ class VerificationSummary:
 
     failed_rows counts the rows whose solve failed (their error is set); any
     such row fails the verdict, since the fits then rest on fewer points
-    than were asked for.
+    than were asked for.  fits holds each fitted law with the tolerance it
+    was judged by, overrides applied; it is for display and not serialized.
     """
 
     verdicts: Mapping[str, bool]
     all_passed: bool
     failed_rows: int = 0
+    fits: Mapping[str, ExponentFit] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {"laws": dict(self.verdicts), "all_passed": self.all_passed}
@@ -326,6 +328,7 @@ def verify_exponents(report: ScalingReport,
     regression artifact, and its consumer decides how loud to be.
     """
     verdicts: dict[str, bool] = {}
+    judged: dict[str, ExponentFit] = {}
     for law in _LAW_COLUMNS:
         if law == "deviation" and not report.use_full_solver:
             continue
@@ -335,11 +338,12 @@ def verify_exponents(report: ScalingReport,
             continue
         if tolerances is not None and law in tolerances:
             fit = replace(fit, tolerance=float(tolerances[law]))
+        judged[law] = fit
         verdicts[law] = fit.passed
     failed_rows = sum(r.error is not None for r in report.rows)
     return VerificationSummary(verdicts=verdicts,
                                all_passed=all(verdicts.values()) and not failed_rows,
-                               failed_rows=failed_rows)
+                               failed_rows=failed_rows, fits=judged)
 
 
 def report_to_csv(report: ScalingReport, stream) -> None:

@@ -153,6 +153,11 @@ def test_sweep_unreachable_tolerance_fails_but_reports(tmp_path):
     assert data["verification"]["laws"]["deviation"] is False
     assert data["tolerance_overrides"] == {"deviation": 1e-6}
     assert (out / "sweep.csv").exists()
+    # stdout names the failed law with the overridden tolerance it missed
+    lines = proc.stdout.splitlines()
+    deviation = next(line.split() for line in lines if line.startswith("deviation"))
+    assert deviation[1] == "FAIL" and deviation[-1] == "1e-06"
+    assert lines[-1] == "5/6 laws passed"
 
 
 def test_sweep_with_a_failed_row_fails_verification(tmp_path):
@@ -167,6 +172,15 @@ def test_sweep_with_a_failed_row_fails_verification(tmp_path):
     assert all(data["verification"]["laws"].values())
     assert data["verification"]["failed_rows"] == 1
     assert data["verification"]["all_passed"] is False
+    # the verdict is on stdout too: one line per law with slope, target and
+    # tolerance, the tally, then the failed row with its error
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["law", "status", "slope", "target", "tolerance"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:7]}
+    assert set(rows) == {"amp_rho", "amp_s", "zeta", "sigma", "v", "deviation"}
+    assert all(r[0] == "PASS" for r in rows.values())
+    assert rows["v"][2:] == ["+2.0000", "0.02"] and rows["sigma"][3] == "0.1"
+    assert lines[7:] == ["6/6 laws passed", "failed row delta_t=0.5: " + data["rows"][0]["error"]]
 
 
 def test_sweep_rejects_single_undercooling(tmp_path):
@@ -200,6 +214,19 @@ def test_check_seed_is_recorded_and_respected(tmp_path):
     assert proc0.returncode == proc1.returncode == 0
     assert read_json(out0 / "check.json")["seed"] == 7
     assert proc0.stdout == proc1.stdout
+
+
+def test_check_passes_where_the_probe_speed_meets_the_root(tmp_path):
+    # this seed draws a probe speed next to the determinant's root, where
+    # det M itself nearly cancels; the identity is judged against the size
+    # of its terms, so cancellation is not mistaken for an error
+    from thermocap import cli
+
+    out = tmp_path / "out"
+    assert cli.main(["check", "--seed", "1340875042891987199", "--out", str(out)]) == 0
+    entry = next(c for c in read_json(out / "check.json")["checks"]
+                 if c["name"] == "jump-determinant-identity")
+    assert entry["passed"] and entry["threshold"] == 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +280,8 @@ def test_json_output_is_normalized(tmp_path):
     # a JSON bool is not a number, though Python's float() takes it as 0/1
     {"delta_T": True},
     {"T0": True},
-    {"mu1": True},
+    # the potential constant is always mu_c; the retired key is unknown
+    {"mu1": 1.5},
     {"params": {"A": True}},
     {"sweep": {"delta_t_values": [True, 0.1, 0.01, 0.001]}},
     {"sweep": {"tolerances": {"v": True}}},
@@ -327,22 +355,27 @@ def test_divergent_solver_reports_and_exits_3(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_closed_routes_never_import_scipy(tmp_path):
-    # scipy is paid for only by the coupled solver; the package import and
-    # the closed-form commands must run on numpy alone
+    # the package import and the closed-form commands run on numpy alone;
+    # the coupled solver loads scipy's compiled LAPACK extension by itself,
+    # never the scipy or scipy.linalg packages around it
     script = f"""
-import sys
+import contextlib, io, sys
+import numpy as np
 import thermocap
-from thermocap import cli
+from thermocap import cli, equilibrium
 
 def scipy_modules():
     return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
 
 print("import", scipy_modules())
-for cmd in ("profile", "celerity", "sweep"):
-    rc = cli.main([cmd, "--out", {str(tmp_path)!r} + "/" + cmd])
-    print(cmd, rc, scipy_modules())
-rc = cli.main(["profile", "--full", "--out", {str(tmp_path)!r} + "/full"])
-print("full", rc, "scipy.linalg" in sys.modules)
+for i, argv in enumerate((["profile"], ["celerity"], ["sweep"],
+                          ["profile", "--full"], ["sweep", "--full"], ["check"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([*argv, "--out", {str(tmp_path)!r} + f"/out{{i}}"])
+    print(" ".join(argv), rc, scipy_modules())
+# importing the package afterwards picks up the same routine
+import scipy.linalg
+print(scipy.linalg.get_lapack_funcs(("gbsv",), dtype=np.float64)[0] is equilibrium._dgbsv())
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -351,5 +384,8 @@ print("full", rc, "scipy.linalg" in sys.modules)
         "profile 0 []",
         "celerity 0 []",
         "sweep 0 []",
-        "full 0 True",
+        "profile --full 0 ['scipy.linalg._flapack']",
+        "sweep --full 0 ['scipy.linalg._flapack']",
+        "check 0 ['scipy.linalg._flapack']",
+        "True",
     ]

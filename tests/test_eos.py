@@ -23,7 +23,7 @@ from thermocap import (
     temperature,
     validate_params,
 )
-from thermocap.eos import bulk_energy_hessian, enthalpy
+from thermocap.eos import BulkConditions, bulk_energy_hessian, enthalpy
 from thermocap.equilibrium import bulk_states
 from thermocap.errors import (
     IndefiniteGradientForm,
@@ -85,7 +85,11 @@ def test_bulk_conditions_needs_exactly_one_temperature_input():
     assert via_dt.T0 == via_t0.T0 == 0.99
     assert via_t0.delta_t == pytest.approx(via_dt.delta_t, rel=1e-14)
     assert via_dt.delta_t == 0.01
-    assert via_dt.mu1 == P0.mu_c
+    # the profile equation's potential constant is always mu_c: a planar
+    # front exists at no other value, so it is not a field or an argument
+    assert set(BulkConditions.__dataclass_fields__) == {"T0", "delta_t"}
+    with pytest.raises(TypeError):
+        bulk_conditions(P0, delta_t=0.01, mu1=P0.mu_c)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +222,12 @@ def test_bulk_states_share_temperature_pressure_and_potential():
     for st in (liquid, vapor):
         assert temperature(P0, st.rho, st.s) == pytest.approx(bc.T0, abs=1e-14)
         assert chemical_potential_full(P0, st.rho, st.s, bc.T0) == pytest.approx(
-            bc.mu1, abs=1e-14)
+            P0.mu_c, abs=1e-14)
+    # coexistence sits at mu_c whatever its value, not at a fixed zero
+    shifted = FluidParams(mu_c=0.7)
+    for st in bulk_states(shifted, bc):
+        assert chemical_potential_full(shifted, st.rho, st.s, bc.T0) == pytest.approx(
+            0.7, abs=1e-14)
     p_l = pressure(P0, liquid.rho, liquid.s)
     p_v = pressure(P0, vapor.rho, vapor.s)
     assert p_l == pytest.approx(p_v, abs=1e-15)

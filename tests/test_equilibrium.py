@@ -6,6 +6,7 @@ of 0.01: bulk densities 1 +/- 0.1, width sqrt(50), surface tension
 (2 * 0.01)^(3/2) / 3, coexistence pressure 5e-5.
 """
 
+import importlib.machinery
 import io
 import math
 
@@ -296,6 +297,21 @@ def test_full_solve_handles_the_large_undercooling():
     assert prof.rho.max() <= liquid.rho + slack
 
 
+def test_full_solve_follows_the_critical_potential():
+    # mu_c enters the energy as mu_c*rho and the density equation as -mu_c,
+    # so a shifted mu_c must leave the solved profile where it was (up to the
+    # rounding-level drift the near-free translation mode allows); a residual
+    # that dropped or fixed the constant would not converge to it
+    shifted = FluidParams(mu_c=0.7)
+    prof, _ = solve_full_bvp(P0, BC)
+    prof_shifted, report = solve_full_bvp(shifted, BC)
+    assert report.converged
+    np.testing.assert_allclose(prof_shifted.rho, prof.rho, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(prof_shifted.s, prof.s, rtol=0, atol=1e-8)
+    closed = closed_profile(shifted, BC)
+    assert np.max(np.abs(reduced_residual(shifted, BC, closed))) < 1e-7
+
+
 def test_decoupled_gradient_energy_reduces_to_single_field():
     # with D = 0 the entropy equation decouples; the density equation is
     # then exactly the reduced one and the solution hugs the tanh front
@@ -341,6 +357,32 @@ def test_banded_jacobian_matches_finite_differences():
     np.testing.assert_allclose(dense, fd, rtol=2e-5, atol=1e-6)
 
 
+def test_dgbsv_is_scipys_own_routine():
+    # loaded straight from scipy's compiled extension, it is the very object
+    # the package route hands out, so no solve can change by a bit
+    gbsv, = scipy.linalg.get_lapack_funcs(("gbsv",), dtype=np.float64)
+    assert equilibrium._dgbsv() is gbsv
+    assert equilibrium._dgbsv.__wrapped__() is gbsv  # a fresh load, not the cache
+
+
+def test_dgbsv_falls_back_to_the_package_route(monkeypatch):
+    # where the extension cannot be located (an editable build, say), the
+    # loader takes scipy.linalg's route and still returns the same routine
+    real_find_spec = importlib.machinery.PathFinder.find_spec
+    asked = []
+
+    def no_extension(name, path=None, target=None):
+        if name == "scipy.linalg._flapack":
+            asked.append(name)
+            return None
+        return real_find_spec(name, path, target)
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_extension)
+    gbsv, = scipy.linalg.get_lapack_funcs(("gbsv",), dtype=np.float64)
+    assert equilibrium._dgbsv.__wrapped__() is gbsv
+    assert asked == ["scipy.linalg._flapack"]
+
+
 @pytest.mark.parametrize("n", [51, 1001, 16001])
 @pytest.mark.parametrize("dt", [1e-1, 1e-4])
 def test_newton_steps_match_solve_banded_bit_for_bit(monkeypatch, n, dt):
@@ -360,7 +402,7 @@ def test_newton_steps_match_solve_banded_bit_for_bit(monkeypatch, n, dt):
         calls.append(b.size)
         return lu, piv, x, info
 
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, dtype: (checked_gbsv,))
+    monkeypatch.setattr(equilibrium, "_dgbsv", lambda: checked_gbsv)
     bc = bulk_conditions(P0, delta_t=dt)
     _, report = solve_full_bvp(P0, bc, GridConfig(n_points=n))
     assert report.converged and len(calls) == report.iterations >= 1
@@ -370,7 +412,7 @@ def test_singular_newton_system_raises_with_report(monkeypatch, capsys, tmp_path
     def singular_gbsv(kl, ku, ab, b, overwrite_ab=False, overwrite_b=False):
         return ab, np.zeros(b.size, dtype=np.int32), b, 5  # U[4, 4] == 0
 
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, dtype: (singular_gbsv,))
+    monkeypatch.setattr(equilibrium, "_dgbsv", lambda: singular_gbsv)
     with pytest.raises(NewtonDiverged, match="singular Jacobian") as info:
         solve_full_bvp(P0, BC)
     assert info.value.report.iterations == 0 and not info.value.report.converged
@@ -407,7 +449,7 @@ def test_full_solution_matches_independent_collocation_solver():
     def rhs(y, u):
         rho, drho, s, ds = u
         gr, gs = bulk_energy_partials(P0, rho, s)
-        f1 = gr - s * BC.T0 - BC.mu1
+        f1 = gr - s * BC.T0 - P0.mu_c
         f2 = gs - rho * BC.T0
         return np.vstack([drho, (P0.E * f1 - P0.D * f2) / det,
                           ds, (P0.C * f2 - P0.D * f1) / det])
