@@ -335,7 +335,7 @@ def cmd_check(cfg: RunConfig) -> int:
     lines = [f"{'check'.ljust(width)}  status  metric      threshold"]
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
-        lines.append(f"{c['name'].ljust(width)}  {status:4}  {c['metric']:.4e}  "
+        lines.append(f"{c['name'].ljust(width)}  {status:6}  {c['metric']:.4e}  "
                      f"{c['threshold']:.4e}")
     n_pass = sum(c["passed"] for c in checks)
     all_passed = n_pass == len(checks)
@@ -405,9 +405,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except ModelError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        report = getattr(exc, "report", None)
-        if report is not None:
-            print(_format_json(report.to_dict()), file=sys.stderr)
+        if exc.report is not None:
+            print(_format_json(exc.report.to_dict()), file=sys.stderr)
         return EXIT_NUMERICAL
 
 

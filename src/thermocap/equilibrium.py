@@ -9,10 +9,11 @@ two bulk densities.  The full route discretizes the coupled system
     D rho'' + E s'' = d(rho*alpha)/ds   - rho*T0
 
 on [-L, L] with Dirichlet data from the exact bulk states and solves it by
-damped Newton iteration with an analytic block-tridiagonal Jacobian.  The
-solver uses plain 2nd-order central differences (keeps the Jacobian banded);
-all diagnostics use 4th-order stencils so discretization error of the
-diagnostic never masks the quantity being diagnosed.
+Newton iteration with an analytic block-tridiagonal Jacobian, bordered so
+the front stays at y = 0 (see solve_full_bvp).  The solver uses plain
+2nd-order central differences (keeps the Jacobian banded); all diagnostics
+use 4th-order stencils so discretization error of the diagnostic never
+masks the quantity being diagnosed.
 
 Each Newton step is one direct LAPACK dgbsv call on a Fortran-ordered band
 buffer that the Jacobian is assembled into, so the binding hands LAPACK the
@@ -162,13 +163,15 @@ class InterfaceObservables:
 
 @dataclass(frozen=True)
 class NewtonReport:
-    """Convergence record of one damped-Newton solve."""
+    """Convergence record of one bordered-Newton solve."""
 
     iterations: int
-    residual_norm: float          # final residual infinity-norm
+    residual_norm: float          # max|F| of the equations at the last iterate
     converged: bool
     damping_history: tuple[int, ...]  # step halvings accepted per iteration
     tolerance: float
+    phase_force: float = 0.0      # final bordering scalar c pinning the front
+    residual_history: tuple[float, ...] = ()  # max|F + c*psi| after each iteration
 
     def __post_init__(self):
         if self.converged and not self.residual_norm <= self.tolerance:
@@ -181,6 +184,8 @@ class NewtonReport:
             "converged": self.converged,
             "damping_history": list(self.damping_history),
             "tolerance": self.tolerance,
+            "phase_force": self.phase_force,
+            "residual_history": list(self.residual_history),
         }
 
 
@@ -423,31 +428,29 @@ def _coupled_jacobian_banded(p: FluidParams, bc: BulkConditions, rho: np.ndarray
 def solve_full_bvp(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfig(),
                    tol: float = 1e-10, max_iter: int = 50,
                    max_damping: int = 20) -> tuple[Profile, NewtonReport]:
-    """Solve the coupled two-field boundary-value problem by damped Newton.
+    """Solve the coupled two-field boundary-value problem by bordered Newton.
 
     Dirichlet data are the exact bulk states; the initial guess is the
     closed-form profile, which is accurate to O(delta_t) and puts Newton
-    straight into its quadratic regime.  Each step is a direct dgbsv on a
-    Fortran band buffer: the constant neighbour blocks are laid out once per
-    solve, and each iteration copies them into the work buffer, adds the
-    Hessian-dependent entries and factors it in place.  The routine is
-    scipy's compiled one, loaded by _dgbsv without importing scipy.linalg.
-    A non-finite system or a singular Jacobian raises NewtonDiverged with
-    the report so far.
+    straight into its quadratic regime.  A wide box leaves the front nearly
+    free to translate, so the system is bordered (Beyn, IMA J. Numer. Anal.
+    10, 1990): a scalar c joins the unknowns, the equations become
+    G = F + c*psi with psi the seed's translation mode, and the phase
+    condition rho(0) = rho_c, which the seed meets exactly, pins the front.
 
-    The line search is non-monotone on purpose.  Wide domains leave the
-    interface nearly free to translate, so the Jacobian has one almost-zero
-    eigenvalue; close to the solution the Newton step picks up a large
-    component along that mode and the residual can rise for an iteration
-    before the quadratic restoring terms pull it far below its old value.
-    A strictly monotone search rejects exactly those productive steps and
-    crawls.  Steps are therefore accepted whenever the trial residual beats
-    the worst of the last few accepted ones; a step failing even that is
-    halved, up to max_damping times before NewtonDiverged.  The iterate
-    with the smallest residual seen is the one returned.  One consequence:
-    at large undercooling the converged front can sit a fraction of a width
-    away from y = 0, since any translate this deep inside the valley
-    satisfies the equations to below the tolerance.
+    Each step is one direct dgbsv on a Fortran band buffer (constant
+    neighbour blocks laid out once per solve, Hessian entries added per
+    iteration, factored in place) with two right-hand sides, [-G, psi];
+    the phase row fixes dc, and the step is z1 - dc*z2.  The routine is
+    scipy's compiled one, loaded by _dgbsv without importing scipy.linalg.
+    A step that does not lower max|G| is halved, up to max_damping times.
+    A non-finite or singular system, a step the phase row cannot fix and a
+    failed line search raise NewtonDiverged with the report so far.
+
+    The loop stops at max|G| <= tol, and the report's residual is the
+    equations' own max|F|.  If that exceeds tol, holding the front took a
+    real force: the box truncates the tails, and UndecayedTail is raised
+    with the report instead of returning the truncated profile.
     """
     gbsv = _dgbsv()
     seed = closed_profile(p, bc, g)
@@ -457,68 +460,87 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
     s = seed.s.copy()
     rho[0], rho[-1] = vapor.rho, liquid.rho
     s[0], s[-1] = vapor.s, liquid.s
+    q = rho.size - 2
+    mid = seed.mid_index
+    k = 2 * (mid - 1)  # the unknown rho(0) among the interleaved interior unknowns
+    psi = np.empty(2 * q)
+    psi[0::2] = derivative_4th(seed.rho, h)[1:-1]
+    psi[1::2] = derivative_4th(seed.s, h)[1:-1]
 
-    res = _coupled_residual(p, bc, rho, s, h)
+    c = 0.0
+    f = _coupled_residual(p, bc, rho, s, h)
+    res = f  # G = F + c*psi, with c = 0 at the seed
     rnorm = float(np.max(np.abs(res)))
-    recent = [rnorm]  # acceptance window for the non-monotone search
-    best = (rnorm, rho.copy(), s.copy())
+    history: list[float] = []
     damping: list[int] = []
     iterations = 0
-    neighbours = _neighbour_band(p, rho.size - 2, h)
+    neighbours = _neighbour_band(p, q, h)
     work = np.empty_like(neighbours)  # gbsv overwrites it with the LU factors
+    rhs = np.empty((2 * q, 2), order="F")  # and this with the two solutions
 
-    def failed() -> NewtonReport:
-        return NewtonReport(iterations, best[0], False, tuple(damping), tol)
+    def report(residual: float, converged: bool = False) -> NewtonReport:
+        return NewtonReport(iterations, residual, converged, tuple(damping), tol,
+                            phase_force=c, residual_history=tuple(history))
 
     while not rnorm <= tol:  # a NaN residual enters the loop and meets the guard
         if iterations >= max_iter:
             raise MaxIterations(
-                f"no convergence in {max_iter} iterations (residual {best[0]:.3e})", failed())
+                f"no convergence in {max_iter} iterations (residual {rnorm:.3e})",
+                report(rnorm))
         _coupled_jacobian_banded(p, bc, rho, s, h, neighbours, work)
-        rhs = -res
+        rhs[:, 0] = -res
+        rhs[:, 1] = psi
         # the contiguous buffer scans faster than its band view
         if not (np.isfinite(work).all() and np.isfinite(rhs).all()):
             raise NewtonDiverged(
-                f"non-finite Newton system at iteration {iterations}", failed())
-        _, _, step, info = gbsv(_KL, _KU, work, rhs, overwrite_ab=True, overwrite_b=True)
+                f"non-finite Newton system at iteration {iterations}", report(rnorm))
+        _, _, z, info = gbsv(_KL, _KU, work, rhs, overwrite_ab=True, overwrite_b=True)
         if info > 0:
             raise NewtonDiverged(
                 f"singular Jacobian at iteration {iterations} (zero pivot in column {info})",
-                failed())
+                report(rnorm))
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dgbsv")
-        cap = max(recent)
+        gap = p.rho_c - rho[mid]
+        dc = float((z[k, 0] - gap) / z[k, 1])
+        if not math.isfinite(dc):
+            raise NewtonDiverged(
+                f"phase condition cannot fix the step at iteration {iterations} "
+                f"(translation response {z[k, 1]:.3e})", report(rnorm))
+        step = z[:, 0] - dc * z[:, 1]
+        step[k] = gap  # the phase row holds exactly, not to rounding
         lam, cuts = 1.0, 0
         while True:
             trial_rho = rho.copy()
             trial_s = s.copy()
             trial_rho[1:-1] += lam * step[0::2]
             trial_s[1:-1] += lam * step[1::2]
-            trial_res = _coupled_residual(p, bc, trial_rho, trial_s, h)
+            trial_c = c + lam * dc
+            trial_f = _coupled_residual(p, bc, trial_rho, trial_s, h)
+            trial_res = trial_f + trial_c * psi
             trial_norm = float(np.max(np.abs(trial_res)))
-            if trial_norm < cap or trial_norm <= tol:
+            if trial_norm < rnorm or trial_norm <= tol:
                 break
             cuts += 1
             if cuts > max_damping:
                 raise NewtonDiverged(
-                    f"residual stuck at {best[0]:.3e} after {max_damping} step halvings",
-                    failed())
+                    f"residual stuck at {rnorm:.3e} after {max_damping} step halvings",
+                    report(rnorm))
             lam *= 0.5
-        rho, s, res, rnorm = trial_rho, trial_s, trial_res, trial_norm
-        if rnorm < best[0]:
-            best = (rnorm, rho.copy(), s.copy())
-        recent.append(rnorm)
-        del recent[:-5]
+        rho, s, c, f, res, rnorm = trial_rho, trial_s, trial_c, trial_f, trial_res, trial_norm
         damping.append(cuts)
+        history.append(rnorm)
         iterations += 1
 
-    if rnorm < best[0]:
-        best = (rnorm, rho.copy(), s.copy())
-    rnorm, rho, s = best
-    report = NewtonReport(iterations, rnorm, True, tuple(damping), tol)
+    plain = float(np.max(np.abs(f)))
+    if not plain <= tol:
+        raise UndecayedTail(
+            f"holding the front at y = 0 takes a force c = {c:.3e}: the equations' "
+            f"residual is {plain:.3e} > {tol:.1e}, so the box of half_width_in_zeta = "
+            f"{g.half_width_in_zeta:g} truncates the tails; widen it", report(plain))
     _check_density_bounds(rho, liquid.rho, vapor.rho)
     prof = Profile(y=y, rho=rho, s=s, bc=bc, provenance="full-solver")
-    return prof, report
+    return prof, report(plain, converged=True)
 
 
 def _check_density_bounds(rho: np.ndarray, rho_l: float, rho_v: float) -> None:

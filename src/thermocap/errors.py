@@ -2,7 +2,15 @@
 
 
 class ModelError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    report, when given, is the solver's record up to the failure (a
+    NewtonReport); the CLI prints it under the message.
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class NonPositiveConstant(ModelError):
@@ -28,17 +36,9 @@ class UndecayedTail(ModelError):
 class NewtonDiverged(ModelError):
     """Damped Newton could not reduce the residual within the damping budget."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class MaxIterations(ModelError):
     """Newton iteration budget exhausted before reaching tolerance."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class NonPositiveData(ModelError):

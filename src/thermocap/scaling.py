@@ -228,21 +228,16 @@ def _first_crossing(y: np.ndarray, m: np.ndarray, level: float) -> float:
 
 
 def tanh_deviation(p: FluidParams, prof: Profile) -> float:
-    """Sup distance from the nearest translate of the tanh front, over rho_c.
+    """Sup distance from the centred tanh front, over rho_c.
 
-    The solver pins the front's position only up to an exponentially flat
-    translation mode, so at large undercooling the converged front may sit
-    slightly off center; the raw pointwise difference against the centered
-    tanh would then measure that arbitrary shift instead of the shape
-    change.  Centering the reference on the measured dividing surface
-    (the rho = rho_c crossing) quotients the shift out, leaving the
+    Both the closed profile and the solved one (its phase condition) put
+    rho = rho_c exactly at y = 0, so the pointwise difference measures the
     order-delta_t shape deviation the scaling law is about.
     """
     liquid, vapor = bulk_states(p, prof.bc)
     amp = 0.5 * (liquid.rho - vapor.rho)
     zeta = interface_width(p, prof.bc)
-    y_c = _first_crossing(prof.y, prof.rho - p.rho_c, 0.0)
-    reference = p.rho_c + amp * np.tanh((prof.y - y_c) / (2.0 * zeta))
+    reference = p.rho_c + amp * np.tanh(prof.y / (2.0 * zeta))
     return float(np.max(np.abs(prof.rho - reference))) / p.rho_c
 
 

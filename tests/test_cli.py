@@ -62,6 +62,9 @@ def test_profile_full_solver_artifacts(tmp_path):
     assert newton["converged"] is True
     assert newton["iterations"] <= 10
     assert newton["residual_norm"] <= 1e-10
+    assert len(newton["residual_history"]) == newton["iterations"]
+    assert newton["residual_history"][-1] <= 1e-10
+    assert abs(newton["phase_force"]) < 1e-8
     obs = read_json(out / "observables.json")
     assert obs["provenance"] == "full-solver"
     # quadrature tension on the solved profile differs from the closed form
@@ -161,13 +164,14 @@ def test_sweep_unreachable_tolerance_fails_but_reports(tmp_path):
 
 
 def test_sweep_with_a_failed_row_fails_verification(tmp_path):
-    # delta_T = 0.5 exhausts the Newton budget; the five rows left still fit
-    # every law, but a requested row that is missing must fail the verdict
+    # delta_T = 0.5 outgrows the default box (holding its front takes a real
+    # force); the five rows left still fit every law, but a requested row
+    # that is missing must fail the verdict
     config = {"sweep": {"delta_t_values": [0.5, 0.01, 0.003, 0.001, 0.0003, 0.0001]}}
     proc, out = run_cli(tmp_path, "sweep", "--full", config=config)
     assert proc.returncode == 4, proc.stderr
     data = read_json(out / "scaling.json")
-    assert data["rows"][0]["error"].startswith("MaxIterations")
+    assert data["rows"][0]["error"].startswith("UndecayedTail")
     assert all(row["error"] is None for row in data["rows"][1:])
     assert all(data["verification"]["laws"].values())
     assert data["verification"]["failed_rows"] == 1
@@ -190,6 +194,18 @@ def test_sweep_rejects_single_undercooling(tmp_path):
     assert not out.exists()
 
 
+def test_profile_full_refuses_a_box_too_short_for_the_front(tmp_path):
+    # at delta_T = 0.9 the slow tail outruns 15 widths; the solve used to
+    # exit 0 with sigma_quad 49 % above the closed form and the front at 13.5
+    # widths, and must now fail loudly with the pinning force and its report
+    proc, out = run_cli(tmp_path, "profile", "--full", config={"delta_T": 0.9})
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("UndecayedTail: holding the front at y = 0")
+    assert "half_width_in_zeta = 15" in proc.stderr
+    assert '"converged": false' in proc.stderr and '"phase_force"' in proc.stderr
+    assert not (out / "observables.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -206,6 +222,20 @@ def test_check_suite_passes_and_prints_a_table(tmp_path):
     names = {c["name"] for c in data["checks"]}
     assert "jump-determinant-identity" in names
     assert "first-integral-residual" in names
+
+
+def test_check_table_columns_line_up_under_their_headings(capsys, tmp_path):
+    from thermocap import cli
+
+    assert cli.main(["check", "--out", str(tmp_path / "out")]) == 0
+    header, *rows, tally = capsys.readouterr().out.splitlines()
+    assert tally.endswith("checks passed") and rows
+    status, metric, threshold = (header.index(word)
+                                 for word in ("status", "metric", "threshold"))
+    for row in rows:
+        assert row[status:status + 4] in ("PASS", "FAIL")
+        assert row[metric - 2:metric] == "  " and row[metric] != " "
+        assert row[threshold - 2:threshold] == "  " and row[threshold] != " "
 
 
 def test_check_seed_is_recorded_and_respected(tmp_path):

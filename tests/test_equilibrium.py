@@ -297,6 +297,52 @@ def test_full_solve_handles_the_large_undercooling():
     assert prof.rho.max() <= liquid.rho + slack
 
 
+def test_bordered_newton_pins_the_front_at_the_large_undercooling():
+    # the phase condition removes the translation mode: Newton converges
+    # quadratically from the seed with full steps, the front stays exactly
+    # at y = 0, and the equations themselves (not only the bordered system)
+    # meet the tolerance
+    bc = bulk_conditions(P0, delta_t=0.1)
+    prof, report = solve_full_bvp(P0, bc)
+    assert report.converged and report.iterations <= 4
+    assert report.damping_history == (0,) * report.iterations
+    assert prof.rho[prof.mid_index] == P0.rho_c
+    plain = np.max(np.abs(_coupled_residual(P0, bc, prof.rho, prof.s, prof.h)))
+    assert plain == report.residual_norm <= report.tolerance
+    assert len(report.residual_history) == report.iterations
+    assert report.residual_history[-1] <= report.tolerance
+    assert list(report.residual_history) == sorted(report.residual_history, reverse=True)
+    assert 0.0 < abs(report.phase_force) < 1e-8
+    assert report.to_dict()["phase_force"] == report.phase_force
+
+
+def test_too_short_box_raises_undecayed_tail_with_report():
+    # delta_t = 0.3 decays too slowly for 15 widths: the bordered system
+    # converges, but only by a pinning force that leaves the equations
+    # unsolved, so the solve refuses instead of running out its budget
+    bc = bulk_conditions(P0, delta_t=0.3)
+    with pytest.raises(UndecayedTail, match="half_width_in_zeta = 15") as info:
+        solve_full_bvp(P0, bc)
+    report = info.value.report
+    assert not report.converged and report.iterations <= 10
+    assert report.residual_history[-1] <= report.tolerance < report.residual_norm
+    assert f"c = {report.phase_force:.3e}" in str(info.value)
+
+
+@pytest.mark.parametrize("p, dt, grid, sigma_quad", [
+    # sigma_quad of the solves that converged before the bordering, frozen
+    (P0, 0.3, GridConfig(half_width_in_zeta=60.0, n_points=4001), 0.14145169564049084),
+    (FluidParams(E=3.0), 0.1, GridConfig(half_width_in_zeta=30.0, n_points=2001),
+     0.028618319869956593),
+])
+def test_wide_enough_box_converges_to_the_unpinned_tension(p, dt, grid, sigma_quad):
+    bc = bulk_conditions(p, delta_t=dt)
+    prof, report = solve_full_bvp(p, bc, grid)
+    assert report.converged and report.residual_norm <= report.tolerance
+    obs = interface_observables(p, bc, prof)
+    assert obs.sigma_quad == pytest.approx(sigma_quad, rel=1e-6)
+
+
 def test_full_solve_follows_the_critical_potential():
     # mu_c enters the energy as mu_c*rho and the density equation as -mu_c,
     # so a shifted mu_c must leave the solved profile where it was (up to the
@@ -387,19 +433,20 @@ def test_dgbsv_falls_back_to_the_package_route(monkeypatch):
 @pytest.mark.parametrize("dt", [1e-1, 1e-4])
 def test_newton_steps_match_solve_banded_bit_for_bit(monkeypatch, n, dt):
     # every step the solver takes with its Fortran buffer and a direct dgbsv
-    # equals scipy's solve_banded on the same Jacobian and right-hand side
+    # equals scipy's solve_banded on the same Jacobian and on both right-hand
+    # sides, the Newton residual and the translation mode
     real_gbsv, = scipy.linalg.get_lapack_funcs(("gbsv",), dtype=np.float64)
     calls = []
 
     def checked_gbsv(kl, ku, ab, b, overwrite_ab=False, overwrite_b=False):
-        assert (kl, ku) == (3, 3) and ab.shape == (10, b.size)
-        assert ab.flags.f_contiguous and not ab[:kl].any()
+        assert (kl, ku) == (3, 3) and ab.shape == (10, b.shape[0]) and b.shape[1] == 2
+        assert ab.flags.f_contiguous and b.flags.f_contiguous and not ab[:kl].any()
         expected = scipy.linalg.solve_banded((kl, ku), ab[kl:], b)
         lu, piv, x, info = real_gbsv(kl, ku, ab, b, overwrite_ab=overwrite_ab,
                                      overwrite_b=overwrite_b)
         assert info == 0 and np.array_equal(x, expected)
         assert np.shares_memory(lu, ab) and np.shares_memory(x, b)  # factored in place
-        calls.append(b.size)
+        calls.append(b.shape[0])
         return lu, piv, x, info
 
     monkeypatch.setattr(equilibrium, "_dgbsv", lambda: checked_gbsv)

@@ -119,7 +119,7 @@ def test_tanh_deviation_vanishes_on_the_closed_profile():
 
 def test_tanh_deviation_of_the_full_solution_is_first_order():
     # the measured gap at delta_t = 0.01 sits around 5e-4 of rho_c; the
-    # quantity is translation-invariant, so it reflects shape, not position
+    # solved front is pinned at y = 0, so it reflects shape, not position
     prof, _ = solve_full_bvp(P0, BC)
     dev = tanh_deviation(P0, prof)
     assert 1e-4 < dev < 1e-3
