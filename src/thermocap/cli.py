@@ -38,7 +38,7 @@ from .errors import (
     ModelError,
     NonPositiveConstant,
 )
-from .scaling import EXPONENT_TARGETS, SweepConfig
+from .scaling import SweepConfig
 
 __all__ = ["main"]
 
@@ -123,7 +123,6 @@ class RunConfig:
     bc: BulkConditions
     grid: GridConfig
     sweep: SweepConfig
-    tolerances: Optional[dict]
     out_dir: str
     fmt: str
     seed: int
@@ -196,12 +195,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
     sweep_raw = _require_mapping(raw.get("sweep", {}), "sweep")
     _check_keys(sweep_raw, _SWEEP_KEYS, "sweep")
-    tolerances = None
-    if "tolerances" in sweep_raw:
-        tolerances = dict(_require_mapping(sweep_raw["tolerances"], "sweep.tolerances"))
-        _check_keys(tolerances, set(EXPONENT_TARGETS), "sweep.tolerances")
-        tolerances = {k: _number(v, f"sweep.tolerances.{k}") for k, v in tolerances.items()}
     sweep_kwargs = {}
+    if "tolerances" in sweep_raw:
+        tolerances = _require_mapping(sweep_raw["tolerances"], "sweep.tolerances")
+        sweep_kwargs["tolerances"] = {k: _number(v, f"sweep.tolerances.{k}")
+                                      for k, v in tolerances.items()}
     if "delta_t_values" in sweep_raw:
         vals = sweep_raw["delta_t_values"]
         if not isinstance(vals, (list, tuple)):
@@ -211,7 +209,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     use_full = sweep_raw.get("use_full_solver", False)
     if not isinstance(use_full, bool):
         raise InvalidConfig(f"sweep.use_full_solver must be true or false, got {use_full!r}")
-    sweep = SweepConfig(grid=grid, use_full_solver=use_full or args.full, **sweep_kwargs)
+    full = getattr(args, "full", False)  # only profile and sweep take --full
+    sweep = SweepConfig(grid=grid, use_full_solver=use_full or full, **sweep_kwargs)
 
     fmt = args.format if args.format is not None else raw.get("format", "both")
     if fmt not in ("csv", "json", "both"):
@@ -225,8 +224,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if not isinstance(out_dir, str):
         raise InvalidConfig("out must be a directory path string")
 
-    return RunConfig(params=p, bc=bc, grid=grid, sweep=sweep, tolerances=tolerances,
-                     out_dir=out_dir, fmt=fmt, seed=seed, full=args.full,
+    return RunConfig(params=p, bc=bc, grid=grid, sweep=sweep,
+                     out_dir=out_dir, fmt=fmt, seed=seed, full=full,
                      locus=_parse_locus(getattr(args, "locus", None)))
 
 
@@ -290,29 +289,32 @@ def cmd_celerity(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _verdict_table(kind: str, columns: str, rows: Sequence[tuple[str, bool, str]]) -> list[str]:
+    """Heading, one line per (name, passed, detail) row, then the n/m tally."""
+    width = max(len(kind), *(len(name) for name, _, _ in rows))
+    lines = [f"{kind.ljust(width)}  status  {columns}"]
+    lines += [f"{name.ljust(width)}  {'PASS' if passed else 'FAIL':6}  {detail}"
+              for name, passed, detail in rows]
+    lines.append(f"{sum(passed for _, passed, _ in rows)}/{len(rows)} {kind}s passed")
+    return lines
+
+
 def _sweep_table(report: scaling.ScalingReport, summary: scaling.VerificationSummary) -> str:
-    width = max(len("law"), *map(len, summary.verdicts))
-    lines = [f"{'law'.ljust(width)}  status  slope     target   tolerance"]
+    rows = []
     for law, passed in summary.verdicts.items():
-        status = "PASS" if passed else "FAIL"
-        fit = summary.fits.get(law)
-        if fit is None:
-            lines.append(f"{law.ljust(width)}  {status:6}  "
-                         "no fit: fewer than 2 usable rows spanning a decade")
-        else:
-            lines.append(f"{law.ljust(width)}  {status:6}  {fit.slope:+.5f}  "
-                         f"{fit.target:+.4f}  {fit.tolerance:.4g}")
-    n_pass = sum(summary.verdicts.values())
-    lines.append(f"{n_pass}/{len(summary.verdicts)} laws passed")
-    for row in report.rows:
-        if row.error is not None:
-            lines.append(f"failed row delta_t={row.delta_t:.6g}: {row.error}")
+        fit = report.fits.get(law)
+        detail = ("no fit: fewer than 2 usable rows spanning a decade" if fit is None
+                  else f"{fit.slope:+.5f}  {fit.target:+.4f}  {fit.tolerance:.4g}")
+        rows.append((law, passed, detail))
+    lines = _verdict_table("law", "slope     target   tolerance", rows)
+    lines += [f"failed row delta_t={row.delta_t:.6g}: {row.error}"
+              for row in report.rows if row.error is not None]
     return "\n".join(lines) + "\n"
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     report = scaling.run_sweep(cfg.params, cfg.sweep)
-    summary = scaling.verify_exponents(report, cfg.tolerances)
+    summary = scaling.verify_exponents(report)
     sys.stdout.write(_sweep_table(report, summary))
     _ensure_out(cfg)
     if cfg.fmt in ("csv", "both"):
@@ -323,7 +325,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.fmt in ("json", "both"):
         payload = report.to_dict()
         payload["verification"] = summary.to_dict()
-        payload["tolerance_overrides"] = cfg.tolerances
+        payload["tolerance_overrides"] = cfg.sweep.tolerances or None
         payload["seed"] = cfg.seed
         _write_json(cfg.out_dir, "scaling.json", payload)
     return EXIT_OK if summary.all_passed else EXIT_VERIFICATION
@@ -331,16 +333,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_check(cfg: RunConfig) -> int:
     checks = run_checks(cfg.params, cfg.bc, cfg.grid, cfg.seed)
-    width = max(len(c["name"]) for c in checks)
-    lines = [f"{'check'.ljust(width)}  status  metric      threshold"]
-    for c in checks:
-        status = "PASS" if c["passed"] else "FAIL"
-        lines.append(f"{c['name'].ljust(width)}  {status:6}  {c['metric']:.4e}  "
-                     f"{c['threshold']:.4e}")
-    n_pass = sum(c["passed"] for c in checks)
-    all_passed = n_pass == len(checks)
-    lines.append(f"{n_pass}/{len(checks)} checks passed")
+    lines = _verdict_table("check", "metric      threshold", [
+        (c["name"], c["passed"], f"{c['metric']:.4e}  {c['threshold']:.4e}") for c in checks])
     sys.stdout.write("\n".join(lines) + "\n")
+    all_passed = all(c["passed"] for c in checks)
     _ensure_out(cfg)
     _write_json(cfg.out_dir, "check.json",
                 {"seed": cfg.seed, "checks": checks, "all_passed": all_passed})
@@ -362,8 +358,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(celerity and check always write JSON)")
     common.add_argument("--seed", type=int, metavar="N",
                         help="seed for all sampling, recorded in JSON outputs (default 0)")
-    common.add_argument("--full", action="store_true",
-                        help="use the coupled BVP solver instead of the closed form")
+    full = argparse.ArgumentParser(add_help=False)
+    full.add_argument("--full", action="store_true",
+                      help="use the coupled BVP solver instead of the closed form")
 
     ap = argparse.ArgumentParser(
         prog="thermocap",
@@ -371,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "fluid and the acceleration waves they carry.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("profile", parents=[common],
+    sp = sub.add_parser("profile", parents=[common, full],
                         help="interface profile and observables")
     sp.set_defaults(handler=cmd_profile)
     sp = sub.add_parser("celerity", parents=[common],
@@ -379,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--locus", nargs=3, metavar="K=V",
                     help="evaluate at an explicit locus: rho=<val> a=<val> g2=<val>")
     sp.set_defaults(handler=cmd_celerity)
-    sp = sub.add_parser("sweep", parents=[common],
+    sp = sub.add_parser("sweep", parents=[common, full],
                         help="scaling sweep across undercoolings")
     sp.set_defaults(handler=cmd_sweep)
     sp = sub.add_parser("check", parents=[common],
@@ -392,10 +389,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (json.JSONDecodeError, TypeError, ValueError, OSError) as exc:
+    except (*_CONFIG_ERRORS, TypeError, ValueError, OSError) as exc:  # ValueError covers bad JSON
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -348,6 +348,9 @@ def _coupled_residual(p: FluidParams, bc: BulkConditions, rho: np.ndarray,
 
 
 _KL = _KU = 3  # half-bandwidths of the interleaved block-tridiagonal Jacobian
+_TOL = 1e-10  # max-norm residual at which Newton stops
+_MAX_ITER = 50
+_MAX_DAMPING = 20  # step halvings allowed per iteration
 
 
 @functools.cache
@@ -397,21 +400,17 @@ def _neighbour_band(p: FluidParams, q: int, h: float) -> np.ndarray:
 
 
 def _coupled_jacobian_banded(p: FluidParams, bc: BulkConditions, rho: np.ndarray,
-                             s: np.ndarray, h: float, neighbours: np.ndarray | None = None,
-                             out: np.ndarray | None = None) -> np.ndarray:
+                             s: np.ndarray, h: float, neighbours: np.ndarray,
+                             out: np.ndarray) -> np.ndarray:
     """Banded (l = u = 3) Jacobian of _coupled_residual, LAPACK layout.
 
     Unknowns interleave as (rho_1, s_1, rho_2, s_2, ...); each grid node
     contributes a symmetric 2x2 block, so the matrix is block-tridiagonal.
     The return value is the band view out[3:] of a gbsv buffer (see
-    _neighbour_band), with ab[3 + i - j, j] = J[i, j].  The Newton loop
-    passes its per-solve neighbour template and one work buffer `out`,
-    which is overwritten; both are made here when omitted.
+    _neighbour_band), with ab[3 + i - j, j] = J[i, j].  neighbours is the
+    per-solve template from _neighbour_band, and out a buffer of its shape
+    and order, which is overwritten.
     """
-    if neighbours is None:
-        neighbours = _neighbour_band(p, rho.size - 2, h)
-    if out is None:
-        out = np.empty_like(neighbours)  # keeps Fortran order
     np.copyto(out, neighbours)
     c2 = 1.0 / (h * h)
     h_rr, h_rs, h_ss = bulk_energy_hessian(p, rho[1:-1], s[1:-1])
@@ -425,9 +424,8 @@ def _coupled_jacobian_banded(p: FluidParams, bc: BulkConditions, rho: np.ndarray
     return ab
 
 
-def solve_full_bvp(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfig(),
-                   tol: float = 1e-10, max_iter: int = 50,
-                   max_damping: int = 20) -> tuple[Profile, NewtonReport]:
+def solve_full_bvp(p: FluidParams, bc: BulkConditions,
+                   g: GridConfig = GridConfig()) -> tuple[Profile, NewtonReport]:
     """Solve the coupled two-field boundary-value problem by bordered Newton.
 
     Dirichlet data are the exact bulk states; the initial guess is the
@@ -443,12 +441,12 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
     iteration, factored in place) with two right-hand sides, [-G, psi];
     the phase row fixes dc, and the step is z1 - dc*z2.  The routine is
     scipy's compiled one, loaded by _dgbsv without importing scipy.linalg.
-    A step that does not lower max|G| is halved, up to max_damping times.
+    A step that does not lower max|G| is halved, up to _MAX_DAMPING times.
     A non-finite or singular system, a step the phase row cannot fix and a
     failed line search raise NewtonDiverged with the report so far.
 
-    The loop stops at max|G| <= tol, and the report's residual is the
-    equations' own max|F|.  If that exceeds tol, holding the front took a
+    The loop stops at max|G| <= _TOL, and the report's residual is the
+    equations' own max|F|.  If that exceeds _TOL, holding the front took a
     real force: the box truncates the tails, and UndecayedTail is raised
     with the report instead of returning the truncated profile.
     """
@@ -479,13 +477,13 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
     rhs = np.empty((2 * q, 2), order="F")  # and this with the two solutions
 
     def report(residual: float, converged: bool = False) -> NewtonReport:
-        return NewtonReport(iterations, residual, converged, tuple(damping), tol,
+        return NewtonReport(iterations, residual, converged, tuple(damping), _TOL,
                             phase_force=c, residual_history=tuple(history))
 
-    while not rnorm <= tol:  # a NaN residual enters the loop and meets the guard
-        if iterations >= max_iter:
+    while not rnorm <= _TOL:  # a NaN residual enters the loop and meets the guard
+        if iterations >= _MAX_ITER:
             raise MaxIterations(
-                f"no convergence in {max_iter} iterations (residual {rnorm:.3e})",
+                f"no convergence in {_MAX_ITER} iterations (residual {rnorm:.3e})",
                 report(rnorm))
         _coupled_jacobian_banded(p, bc, rho, s, h, neighbours, work)
         rhs[:, 0] = -res
@@ -519,12 +517,12 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
             trial_f = _coupled_residual(p, bc, trial_rho, trial_s, h)
             trial_res = trial_f + trial_c * psi
             trial_norm = float(np.max(np.abs(trial_res)))
-            if trial_norm < rnorm or trial_norm <= tol:
+            if trial_norm < rnorm or trial_norm <= _TOL:
                 break
             cuts += 1
-            if cuts > max_damping:
+            if cuts > _MAX_DAMPING:
                 raise NewtonDiverged(
-                    f"residual stuck at {rnorm:.3e} after {max_damping} step halvings",
+                    f"residual stuck at {rnorm:.3e} after {_MAX_DAMPING} step halvings",
                     report(rnorm))
             lam *= 0.5
         rho, s, c, f, res, rnorm = trial_rho, trial_s, trial_c, trial_f, trial_res, trial_norm
@@ -533,10 +531,10 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
         iterations += 1
 
     plain = float(np.max(np.abs(f)))
-    if not plain <= tol:
+    if not plain <= _TOL:
         raise UndecayedTail(
             f"holding the front at y = 0 takes a force c = {c:.3e}: the equations' "
-            f"residual is {plain:.3e} > {tol:.1e}, so the box of half_width_in_zeta = "
+            f"residual is {plain:.3e} > {_TOL:.1e}, so the box of half_width_in_zeta = "
             f"{g.half_width_in_zeta:g} truncates the tails; widen it", report(plain))
     _check_density_bounds(rho, liquid.rho, vapor.rho)
     prof = Profile(y=y, rho=rho, s=s, bc=bc, provenance="full-solver")

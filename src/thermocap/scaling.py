@@ -8,12 +8,17 @@ profile at each undercooling on a grid scaled in units of the width (so the
 discretization error is a delta_t-independent relative constant and exact
 laws stay exact through the numerics), measures each observable from the
 discrete data rather than from formulas, and fits log-log slopes.
+
+Each fit is built with the tolerance it is judged by: the default for its
+law and mode, or the SweepConfig's override.  ExponentFit.passed is the one
+verdict; verify_exponents collects those verdicts and adds the failed rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import types
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -70,11 +75,16 @@ CSV_HEADER = "delta_t,amp_rho,amp_s,zeta_measured,sigma_quad,v,full_vs_reduced_d
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Which undercoolings to visit and how to solve each one."""
+    """Which undercoolings to visit, how to solve each one and how to judge.
+
+    tolerances overrides the slope tolerance of the named laws; each must be
+    a law of EXPONENT_TARGETS with a finite tolerance > 0.
+    """
 
     delta_t_values: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
     use_full_solver: bool = False
     grid: GridConfig = GridConfig()
+    tolerances: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.delta_t_values)
@@ -88,6 +98,14 @@ class SweepConfig:
             raise InvalidConfig("sweep undercoolings must be strictly decreasing")
         if vals[0] / vals[-1] < 100.0 * (1.0 - 1e-12):
             raise InvalidConfig("sweep undercoolings must span at least 2 decades")
+        tols = {law: float(tol) for law, tol in dict(self.tolerances).items()}
+        object.__setattr__(self, "tolerances", types.MappingProxyType(tols))  # read-only copy
+        unknown = set(tols) - set(EXPONENT_TARGETS)
+        if unknown:
+            raise InvalidConfig(f"unknown sweep.tolerances keys: {sorted(unknown)}")
+        bad = {law: tol for law, tol in tols.items() if not (math.isfinite(tol) and tol > 0.0)}
+        if bad:
+            raise InvalidConfig(f"sweep tolerances must be finite and > 0, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -163,14 +181,12 @@ class VerificationSummary:
 
     failed_rows counts the rows whose solve failed (their error is set); any
     such row fails the verdict, since the fits then rest on fewer points
-    than were asked for.  fits holds each fitted law with the tolerance it
-    was judged by, overrides applied; it is for display and not serialized.
+    than were asked for.
     """
 
     verdicts: Mapping[str, bool]
     all_passed: bool
     failed_rows: int = 0
-    fits: Mapping[str, ExponentFit] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {"laws": dict(self.verdicts), "all_passed": self.all_passed}
@@ -241,12 +257,17 @@ def tanh_deviation(p: FluidParams, prof: Profile) -> float:
     return float(np.max(np.abs(prof.rho - reference))) / p.rho_c
 
 
-def _tolerance_for(law: str, use_full_solver: bool) -> float:
+def _laws(use_full_solver: bool) -> tuple[str, ...]:
+    # the deviation law only exists in full-solver mode: the closed mode's
+    # deviation is identically zero
+    return tuple(law for law in EXPONENT_TARGETS if use_full_solver or law != "deviation")
+
+
+def _tolerance_for(law: str, cfg: SweepConfig) -> float:
     # celerity is evaluated from the undercooling alone, so it stays a
     # closed-form column even inside a full-solver sweep
-    if use_full_solver and law != "v":
-        return 0.1
-    return 0.02
+    default = 0.1 if cfg.use_full_solver and law != "v" else 0.02
+    return cfg.tolerances.get(law, default)
 
 
 def _solve_row(p: FluidParams, cfg: SweepConfig, delta_t: float) -> SweepRow:
@@ -272,8 +293,8 @@ def run_sweep(p: FluidParams, cfg: SweepConfig) -> ScalingReport:
 
     A failure at one undercooling marks that row with the error message and
     the sweep continues; fits use the surviving rows, and verify_exponents
-    fails the report for the failed ones.  The deviation law only exists in
-    full-solver mode (the closed mode's deviation is identically zero).
+    fails the report for the failed ones.  Each fit carries the tolerance it
+    is judged by, the configured override where there is one.
     """
     rows = []
     for delta_t in cfg.delta_t_values:
@@ -284,9 +305,7 @@ def run_sweep(p: FluidParams, cfg: SweepConfig) -> ScalingReport:
     good = [r for r in rows if r.error is None]
 
     fits: dict[str, ExponentFit] = {}
-    for law, column in _LAW_COLUMNS.items():
-        if law == "deviation" and not cfg.use_full_solver:
-            continue
+    for law in _laws(cfg.use_full_solver):
         use = good
         if law == "deviation":
             # the deviation law is the leading term of an expansion in the
@@ -296,7 +315,7 @@ def run_sweep(p: FluidParams, cfg: SweepConfig) -> ScalingReport:
                       if math.sqrt(p.A * r.delta_t / p.B) <= 0.2 * p.rho_c]
             if len(window) >= 2 and window[0].delta_t / window[-1].delta_t >= 10.0:
                 use = window
-        pts = [(r.delta_t, getattr(r, column)) for r in use]
+        pts = [(r.delta_t, getattr(r, _LAW_COLUMNS[law])) for r in use]
         pts = [(x, y) for x, y in pts if math.isfinite(y)]
         try:
             slope, intercept, resid = fit_exponent(pts)
@@ -307,38 +326,28 @@ def run_sweep(p: FluidParams, cfg: SweepConfig) -> ScalingReport:
             intercept=intercept,
             max_residual=resid,
             target=EXPONENT_TARGETS[law],
-            tolerance=_tolerance_for(law, cfg.use_full_solver),
+            tolerance=_tolerance_for(law, cfg),
         )
     return ScalingReport(rows=tuple(rows), fits=fits, use_full_solver=cfg.use_full_solver)
 
 
-def verify_exponents(report: ScalingReport,
-                     tolerances: Optional[Mapping[str, float]] = None) -> VerificationSummary:
-    """Compare fitted slopes to targets; a law with no usable fit fails.
+def verify_exponents(report: ScalingReport) -> VerificationSummary:
+    """Collect each law's verdict; a law with no usable fit fails.
 
-    A row that failed to solve fails the whole verdict even when every law
-    still fits on the surviving rows.
+    A fit's verdict is its own ExponentFit.passed, judged by the tolerance
+    run_sweep gave it, so the fits and the verdicts never disagree.  A row
+    that failed to solve fails the whole verdict even when every law still
+    fits on the surviving rows.
 
     Failures come back as data, never as exceptions: the sweep report is a
     regression artifact, and its consumer decides how loud to be.
     """
-    verdicts: dict[str, bool] = {}
-    judged: dict[str, ExponentFit] = {}
-    for law in _LAW_COLUMNS:
-        if law == "deviation" and not report.use_full_solver:
-            continue
-        fit = report.fits.get(law)
-        if fit is None:
-            verdicts[law] = False
-            continue
-        if tolerances is not None and law in tolerances:
-            fit = replace(fit, tolerance=float(tolerances[law]))
-        judged[law] = fit
-        verdicts[law] = fit.passed
+    verdicts = {law: law in report.fits and report.fits[law].passed
+                for law in _laws(report.use_full_solver)}
     failed_rows = sum(r.error is not None for r in report.rows)
     return VerificationSummary(verdicts=verdicts,
                                all_passed=all(verdicts.values()) and not failed_rows,
-                               failed_rows=failed_rows, fits=judged)
+                               failed_rows=failed_rows)
 
 
 def report_to_csv(report: ScalingReport, stream) -> None:

@@ -155,6 +155,12 @@ def test_sweep_unreachable_tolerance_fails_but_reports(tmp_path):
     data = read_json(out / "scaling.json")
     assert data["verification"]["laws"]["deviation"] is False
     assert data["tolerance_overrides"] == {"deviation": 1e-6}
+    # each fit records the tolerance it was judged by, and its verdict is
+    # the verification's: the file never contradicts itself
+    assert data["fits"]["deviation"]["tolerance"] == 1e-6
+    assert set(data["fits"]) == set(data["verification"]["laws"])
+    for law, fit in data["fits"].items():
+        assert fit["passed"] == data["verification"]["laws"][law], law
     assert (out / "sweep.csv").exists()
     # stdout names the failed law with the overridden tolerance it missed
     lines = proc.stdout.splitlines()
@@ -317,11 +323,26 @@ def test_json_output_is_normalized(tmp_path):
     {"sweep": {"tolerances": {"v": True}}},
     {"delta_T": "0.1"},
     {"delta_T": 10 ** 400},  # an integer literal no float can hold
+    # a tolerance that cannot judge a slope is the config's fault, not the law's
+    {"sweep": {"tolerances": {"sigma": math.nan}}},
+    {"sweep": {"tolerances": {"sigma": math.inf}}},
+    {"sweep": {"tolerances": {"sigma": 0}}},
+    {"sweep": {"tolerances": {"sigma": -1}}},
 ])
 def test_bad_configs_exit_2(tmp_path, config):
     proc, out = run_cli(tmp_path, "profile", config=config)
     assert proc.returncode == 2, (config, proc.stderr)
     assert proc.stderr.strip()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["celerity", "check"])
+def test_full_is_refused_where_it_selects_no_route(tmp_path, command):
+    # celerity has only closed-form loci and check always runs both routes,
+    # so --full there is a usage error rather than a silently ignored flag
+    proc, out = run_cli(tmp_path, command, "--full")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --full" in proc.stderr
     assert not out.exists()
 
 

@@ -44,6 +44,7 @@ from thermocap.equilibrium import (
     stress_yy_profile,
     _coupled_jacobian_banded,
     _coupled_residual,
+    _neighbour_band,
 )
 from thermocap.errors import CriticalIsotherm, InvalidConfig, NewtonDiverged, UndecayedTail
 
@@ -375,8 +376,9 @@ def test_banded_jacobian_matches_finite_differences():
     rho = seed.rho.copy()
     s = seed.s.copy()
     h = seed.h
-    ab = _coupled_jacobian_banded(P0, bc, rho, s, h)
     q = rho.size - 2
+    neighbours = _neighbour_band(P0, q, h)
+    ab = _coupled_jacobian_banded(P0, bc, rho, s, h, neighbours, np.empty_like(neighbours))
     m = 2 * q
     dense = np.zeros((m, m))
     for j in range(m):

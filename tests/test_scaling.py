@@ -160,11 +160,39 @@ def test_full_solver_sweep_passes_within_loose_tolerances():
 
 
 def test_tolerance_overrides_change_the_verdict():
-    report = run_sweep(P0, SweepConfig(use_full_solver=True))
-    strict = verify_exponents(report, tolerances={"deviation": 1e-6})
+    # the override is judged once, where the fit is built, so the fit and
+    # the verdict carry the same tolerance and the same outcome
+    report = run_sweep(P0, SweepConfig(use_full_solver=True,
+                                       tolerances={"deviation": 1e-6}))
+    assert report.fits["deviation"].tolerance == 1e-6
+    assert report.fits["deviation"].passed is False
+    assert report.fits["amp_rho"].tolerance == 0.1
+    strict = verify_exponents(report)
     assert strict.verdicts["deviation"] is False
     assert strict.all_passed is False
     assert strict.verdicts["amp_rho"] is True
+
+
+@pytest.mark.parametrize("tolerances, match", [
+    ({"not_a_law": 0.1}, "unknown sweep.tolerances keys"),
+    ({"sigma": 0.0}, "finite and > 0"),
+    ({"sigma": -1.0}, "finite and > 0"),
+    ({"sigma": math.inf}, "finite and > 0"),
+    ({"sigma": math.nan}, "finite and > 0"),
+])
+def test_sweep_config_refuses_tolerances_that_cannot_judge(tolerances, match):
+    with pytest.raises(InvalidConfig, match=match):
+        SweepConfig(tolerances=tolerances)
+
+
+def test_sweep_config_copies_its_tolerances():
+    given = {"sigma": 1}
+    cfg = SweepConfig(tolerances=given)
+    given["sigma"] = 5.0
+    assert cfg.tolerances == {"sigma": 1.0}
+    assert type(cfg.tolerances["sigma"]) is float
+    with pytest.raises(TypeError):
+        cfg.tolerances["v"] = 0.5
 
 
 def test_sweep_isolates_row_failures():
