@@ -11,8 +11,9 @@ written to a temp name and atomically renamed so failures leave no partial
 artifacts.
 
 Exit codes: 0 success; 2 configuration or validation error; 3 numerical
-failure (divergence, unreachable root, undecayed tails, critical isotherm);
-4 verification failure (a scaling law or invariant check did not pass).
+failure (divergence, unreachable root, undecayed tails, critical isotherm,
+float overflow, a grid too large to allocate); 4 verification failure (a
+scaling law or invariant check did not pass).
 """
 
 from __future__ import annotations
@@ -136,16 +137,6 @@ def _check_keys(raw: Mapping, allowed: set, where: str) -> None:
         raise InvalidConfig(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _number(value, where: str) -> float:
-    """A JSON number as a float; bools (an int subclass) and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidConfig(f"{where} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise InvalidConfig(f"{where} is out of range: {value!r}") from None
-
-
 def _require_mapping(value, where: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise InvalidConfig(f"{where} must be a JSON object")
@@ -180,14 +171,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     _check_keys(raw, _TOP_KEYS, "config")
 
     params_raw = _require_mapping(raw.get("params", {}), "params")
-    p = validate_params({k: _number(v, f"params.{k}") for k, v in params_raw.items()})
+    p = validate_params(params_raw)
 
     if "delta_T" in raw and "T0" in raw:
         raise InvalidConfig("config sets both delta_T and T0; pick one")
     if "T0" in raw:
-        bc = bulk_conditions(p, T0=_number(raw["T0"], "T0"))
+        bc = bulk_conditions(p, T0=raw["T0"])
     else:
-        bc = bulk_conditions(p, delta_t=_number(raw.get("delta_T", 0.01), "delta_T"))
+        bc = bulk_conditions(p, delta_t=raw.get("delta_T", 0.01))
 
     grid_raw = _require_mapping(raw.get("grid", {}), "grid")
     _check_keys(grid_raw, _GRID_KEYS, "grid")
@@ -197,15 +188,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     _check_keys(sweep_raw, _SWEEP_KEYS, "sweep")
     sweep_kwargs = {}
     if "tolerances" in sweep_raw:
-        tolerances = _require_mapping(sweep_raw["tolerances"], "sweep.tolerances")
-        sweep_kwargs["tolerances"] = {k: _number(v, f"sweep.tolerances.{k}")
-                                      for k, v in tolerances.items()}
+        sweep_kwargs["tolerances"] = _require_mapping(sweep_raw["tolerances"],
+                                                      "sweep.tolerances")
     if "delta_t_values" in sweep_raw:
         vals = sweep_raw["delta_t_values"]
         if not isinstance(vals, (list, tuple)):
             raise InvalidConfig("sweep.delta_t_values must be an array")
-        sweep_kwargs["delta_t_values"] = tuple(_number(v, f"sweep.delta_t_values[{i}]")
-                                               for i, v in enumerate(vals))
+        sweep_kwargs["delta_t_values"] = vals
     use_full = sweep_raw.get("use_full_solver", False)
     if not isinstance(use_full, bool):
         raise InvalidConfig(f"sweep.use_full_solver must be true or false, got {use_full!r}")
@@ -401,6 +390,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         if exc.report is not None:
             print(_format_json(exc.report.to_dict()), file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (ArithmeticError, MemoryError) as exc:
+        # a closed form overflowing at extreme constants (a float ** raises
+        # where * would return inf), or a grid too large to allocate
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -27,6 +27,7 @@ All thermodynamic functions broadcast over numpy arrays in rho and s.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -36,6 +37,7 @@ __all__ = [
     "FluidParams",
     "ThermoState",
     "BulkConditions",
+    "read_number",
     "validate_params",
     "bulk_conditions",
     "bulk_energy",
@@ -82,6 +84,21 @@ class FluidParams:
             )
 
 
+def read_number(value, where: str) -> float:
+    """A real number as a float, or InvalidConfig naming where it came from.
+
+    Bools (an int subclass), strings and other non-numbers are refused, as
+    are integers beyond the float range, so no config value is coerced
+    without notice.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidConfig(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise InvalidConfig(f"{where} is out of range: {value!r}") from None
+
+
 def validate_params(raw: Mapping[str, float]) -> FluidParams:
     """Build FluidParams from a mapping, rejecting unknown keys.
 
@@ -93,7 +110,7 @@ def validate_params(raw: Mapping[str, float]) -> FluidParams:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise InvalidConfig(f"unknown parameter key(s): {', '.join(unknown)}")
-    return FluidParams(**{k: float(v) for k, v in raw.items()})
+    return FluidParams(**{k: read_number(v, f"params.{k}") for k, v in raw.items()})
 
 
 @dataclass(frozen=True)
@@ -140,11 +157,10 @@ def bulk_conditions(p: FluidParams, *, delta_t: float | None = None,
     if (delta_t is None) == (T0 is None):
         raise InvalidConfig("specify exactly one of delta_t or T0")
     if delta_t is None:
-        delta_t = p.T_c - float(T0)
-    else:
-        delta_t = float(delta_t)
-        T0 = p.T_c - delta_t
-    return BulkConditions(T0=float(T0), delta_t=delta_t)
+        T0 = read_number(T0, "T0")
+        return BulkConditions(T0=T0, delta_t=p.T_c - T0)
+    delta_t = read_number(delta_t, "delta_t")
+    return BulkConditions(T0=p.T_c - delta_t, delta_t=delta_t)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,8 +220,11 @@ def bulk_states(p: FluidParams, bc: BulkConditions) -> tuple[ThermoState, Thermo
     """Coexisting (liquid, vapor) bulk states at undercooling delta_t.
 
     rho_{l,v} = rho_c +/- sqrt(A*delta_t/B) with slaved entropies; these are
-    exact roots of both equilibrium equations, not asymptotic ones.  At
-    delta_t = 0 the two states collapse onto the critical point.
+    exact roots of both equilibrium equations, not asymptotic ones.  Where
+    the two densities coincide in floating point (at delta_t = 0 they
+    collapse onto the critical point, and an undercooling far below the
+    resolution of rho_c cannot separate them) there is no interface to
+    describe, and CriticalIsotherm is raised.
     """
     amp = math.sqrt(p.A * bc.delta_t / p.B)
     rho_l = p.rho_c + amp
@@ -230,6 +234,10 @@ def bulk_states(p: FluidParams, bc: BulkConditions) -> tuple[ThermoState, Thermo
             f"undercooling {bc.delta_t!r} drives the vapor branch to "
             f"rho_v = {rho_v!r} <= 0; coexistence needs sqrt(A*delta_t/B) < rho_c"
         )
+    if not rho_l > rho_v:
+        raise CriticalIsotherm(
+            f"undercooling {bc.delta_t!r} does not separate the bulk densities: "
+            f"rho_l = rho_v = {rho_l!r} in floating point")
     liquid = ThermoState(rho=rho_l, s=float(entropy_slave(p, rho_l, bc.delta_t)))
     vapor = ThermoState(rho=rho_v, s=float(entropy_slave(p, rho_v, bc.delta_t)))
     return liquid, vapor
@@ -353,6 +361,25 @@ _MAX_ITER = 50
 _MAX_DAMPING = 20  # step halvings allowed per iteration
 
 
+class _BindFlapack:
+    """One-shot import hook that lets scipy.linalg bind its own _flapack.
+
+    After _dgbsv loads scipy.linalg._flapack directly, the extension sits in
+    sys.modules, so a later import of scipy.linalg would find it there and
+    never set it as the package attribute scipy.linalg._flapack.  Just
+    before scipy.linalg is imported this hook removes itself and drops that
+    entry; the package's own import then re-creates the module from the
+    extension's cached state, with the same routine objects, and binds it.
+    """
+
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "scipy.linalg":
+            sys.meta_path.remove(_BindFlapack)
+            sys.modules.pop("scipy.linalg._flapack", None)
+        return None  # the regular finders locate scipy.linalg
+
+
 @functools.cache
 def _dgbsv():
     """scipy's compiled dgbsv, without importing scipy or scipy.linalg.
@@ -374,6 +401,8 @@ def _dgbsv():
         return get_lapack_funcs(("gbsv",), dtype=np.float64)[0]
     flapack = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(flapack)
+    if "scipy.linalg" not in sys.modules and _BindFlapack not in sys.meta_path:
+        sys.meta_path.insert(0, _BindFlapack)
     return flapack.dgbsv
 
 

@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .eos import FluidParams, bulk_conditions
+from .eos import FluidParams, bulk_conditions, read_number
 from .equilibrium import (
     GridConfig,
     Profile,
@@ -87,7 +87,8 @@ class SweepConfig:
     tolerances: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.delta_t_values)
+        vals = tuple(read_number(v, f"sweep.delta_t_values[{i}]")
+                     for i, v in enumerate(self.delta_t_values))
         object.__setattr__(self, "delta_t_values", vals)
         if len(vals) < 4:
             raise InvalidConfig(
@@ -98,11 +99,12 @@ class SweepConfig:
             raise InvalidConfig("sweep undercoolings must be strictly decreasing")
         if vals[0] / vals[-1] < 100.0 * (1.0 - 1e-12):
             raise InvalidConfig("sweep undercoolings must span at least 2 decades")
-        tols = {law: float(tol) for law, tol in dict(self.tolerances).items()}
-        object.__setattr__(self, "tolerances", types.MappingProxyType(tols))  # read-only copy
+        tols = dict(self.tolerances)
         unknown = set(tols) - set(EXPONENT_TARGETS)
         if unknown:
             raise InvalidConfig(f"unknown sweep.tolerances keys: {sorted(unknown)}")
+        tols = {law: read_number(tol, f"sweep.tolerances.{law}") for law, tol in tols.items()}
+        object.__setattr__(self, "tolerances", types.MappingProxyType(tols))  # read-only copy
         bad = {law: tol for law, tol in tols.items() if not (math.isfinite(tol) and tol > 0.0)}
         if bad:
             raise InvalidConfig(f"sweep tolerances must be finite and > 0, got {bad}")

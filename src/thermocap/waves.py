@@ -14,6 +14,13 @@ expansion.  This module assembles the system, finds the root numerically
 from two determinant evaluations without using the closed form, and
 evaluates both on the dividing surface of an equilibrium profile where
 everything reduces to functions of the undercooling alone.
+
+The numeric root works on arrays of loci: jump_matrices fills a
+(..., 3, 3) stack from broadcast rho, a, g2 and v, and celerity_roots
+takes both determinant evaluations of every locus in one stacked
+np.linalg.det call and every rank certificate in one np.linalg.svd call.
+jump_matrix and celerity_by_determinant are its one-locus case, with the
+same bits and the same error messages.
 """
 
 from __future__ import annotations
@@ -30,8 +37,10 @@ __all__ = [
     "WaveLocus",
     "CelerityResult",
     "jump_matrix",
+    "jump_matrices",
     "celerity_general",
     "celerity_by_determinant",
+    "celerity_roots",
     "celerity_at_critical_density",
     "dividing_surface_locus",
     "dividing_surface_density_gradient",
@@ -93,22 +102,32 @@ class CelerityResult:
         }
 
 
-def jump_matrix(p: FluidParams, locus: WaveLocus, v: float) -> np.ndarray:
-    """Assemble the read-only 3x3 compatibility matrix at candidate celerity v.
+def jump_matrices(p: FluidParams, rho, a, g2, v) -> np.ndarray:
+    """Read-only (..., 3, 3) stack of compatibility matrices, one per locus.
 
+    rho, a (the normal entropy gradient), g2 (the squared tangential one)
+    and the candidate celerity v broadcast to the stack's leading shape.
     Rows: capillary-flux jump [C, D, 0]; energy-flux jump [D a, E a, rho];
-    tangential momentum jump [D g2, E g2 - rho v^2, 0], with a the normal
-    and g2 the squared tangential entropy gradient.
+    tangential momentum jump [D g2, E g2 - rho v^2, 0].
     """
-    a = locus.grad_s_normal
-    g2 = locus.grad_s_tg_sq
-    mat = np.array([
-        [p.C, p.D, 0.0],
-        [p.D * a, p.E * a, locus.rho],
-        [p.D * g2, p.E * g2 - locus.rho * v * v, 0.0],
-    ])
+    mat = np.zeros(np.broadcast(rho, a, g2, v).shape + (3, 3))
+    mat[..., 0, 0] = p.C
+    mat[..., 0, 1] = p.D
+    mat[..., 1, 0] = p.D * a
+    mat[..., 1, 1] = p.E * a
+    mat[..., 1, 2] = rho
+    mat[..., 2, 0] = p.D * g2
+    mat[..., 2, 1] = p.E * g2 - rho * v * v
     mat.setflags(write=False)
     return mat
+
+
+def jump_matrix(p: FluidParams, locus: WaveLocus, v: float) -> np.ndarray:
+    """The read-only 3x3 compatibility matrix of one locus at celerity v.
+
+    Its rows are described at jump_matrices, of which this is the one-locus case.
+    """
+    return jump_matrices(p, locus.rho, locus.grad_s_normal, locus.grad_s_tg_sq, v)
 
 
 def _amplitudes_closed(p: FluidParams, locus: WaveLocus) -> tuple[float, float, float]:
@@ -129,6 +148,67 @@ def celerity_general(p: FluidParams, locus: WaveLocus) -> CelerityResult:
     return CelerityResult(v=v, lam=_amplitudes_closed(p, locus))
 
 
+def _require(ok: np.ndarray, shape: tuple, error: type, describe) -> None:
+    """Raise error(describe(k)) for the first locus k where ok is False.
+
+    ok is flat over the loci; for a batch (shape not ()) the message gains
+    the failing locus's index, for one locus it is describe(0) alone.
+    """
+    if np.count_nonzero(ok) < ok.size:
+        k = int(np.argmin(ok))
+        where = k if len(shape) == 1 else tuple(map(int, np.unravel_index(k, shape)))
+        raise error(describe(k) + (f" (locus {where})" if shape else ""))
+
+
+def celerity_roots(p: FluidParams, rho, a, g2) -> tuple[np.ndarray, np.ndarray]:
+    """Determinant-root celerities and amplitudes of a batch of loci.
+
+    rho, a (normal entropy gradient) and g2 (squared tangential entropy
+    gradient) broadcast to the batch shape; returns v of that shape and the
+    amplitudes lam of that shape + (3,), normalized to lam2 = 1.  Each
+    locus takes the route celerity_by_determinant describes, but both
+    determinant evaluations of every locus go through one stacked
+    np.linalg.det call and all rank certificates through one np.linalg.svd
+    call.  Stacked calls run the same LAPACK routine on each matrix, so a
+    locus gets the same bits in any batch as alone.  A guard failing at any
+    locus raises its single-locus error, naming the first failing index.
+    """
+    shape = np.broadcast(rho, a, g2).shape
+    loci = np.empty((3,) + shape)
+    loci[0], loci[1], loci[2] = rho, a, g2
+    rho, a, g2 = loci = loci.reshape(3, -1)
+    finite = np.isfinite(loci).all(axis=0)
+    _require(finite & (rho > 0.0) & (g2 > 0.0), shape, InvalidConfig, lambda k: (
+        f"wave locus entries must be finite, got {tuple(loci[:, k].tolist())}"
+        if not finite[k] else f"locus density must be > 0, got {float(rho[k])}"
+        if not rho[k] > 0.0 else "determinant root-finding requires grad_s_tg_sq > 0"))
+    v_probe = np.sqrt(p.E * g2 / rho)
+    v_both = np.zeros((2, v_probe.size))
+    v_both[1] = v_probe
+    dets = np.linalg.det(jump_matrices(p, rho, a, g2, v_both))
+    det_0, det_probe = dets[0], dets[1]
+    _require(det_probe != det_0, shape, ModelError,
+             lambda k: "jump determinant does not depend on v^2; no celerity root")
+    v_sq = v_probe * v_probe * det_0 / (det_0 - det_probe)
+    _require(v_sq >= 0.0, shape, ModelError, lambda k: (
+        f"jump determinant vanishes at v^2 = {v_sq[k]:.6g} < 0; no real celerity"))
+    v_root = np.sqrt(v_sq)
+    _, sing, vt = np.linalg.svd(jump_matrices(p, rho, a, g2, v_root))
+    _require(sing[:, 1] > 1e3 * sing[:, 2], shape, ModelError, lambda k: (
+        "jump matrix at the determinant root is not numerically rank 2 "
+        f"(singular values {sing[k]})"))
+    vec = vt[:, 2]
+    lam = vec / np.where(vec[:, 1:2] != 0.0, vec[:, 1:2], 1.0)
+    # C*lam1 + D*lam2 = 0 is the jump of the capillary flux divergence; it
+    # holds for every wave, so a null vector breaking it is not a wave
+    c_lam1, d_lam2 = p.C * lam[:, 0], p.D * lam[:, 1]
+    resid = np.abs(c_lam1 + d_lam2)
+    scale = np.maximum(np.maximum(np.abs(c_lam1), np.abs(d_lam2)), 1.0)
+    _require(resid <= 1e-12 * scale, shape, ModelError,
+             lambda k: f"amplitudes violate C*lam1 + D*lam2 = 0 (residual {resid[k]:.3e})")
+    return v_root.reshape(shape), lam.reshape(shape + (3,))
+
+
 def celerity_by_determinant(p: FluidParams, locus: WaveLocus) -> CelerityResult:
     """Celerity as a numeric determinant root, amplitudes from the null space.
 
@@ -138,35 +218,11 @@ def celerity_by_determinant(p: FluidParams, locus: WaveLocus) -> CelerityResult:
     probe v^2 = E g2 / rho, where entry (3,2) vanishes, fixes the line and
     its root.  The amplitude vector is the right singular direction of the
     smallest singular value; the gap to the next singular value certifies
-    that the matrix really drops to rank 2 at the root.
+    that the matrix really drops to rank 2 at the root.  This is the
+    one-locus case of celerity_roots.
     """
-    g2 = locus.grad_s_tg_sq
-    if g2 <= 0.0:
-        raise InvalidConfig("determinant root-finding requires grad_s_tg_sq > 0")
-    v_probe = math.sqrt(p.E * g2 / locus.rho)
-    det_0 = float(np.linalg.det(jump_matrix(p, locus, 0.0)))
-    det_probe = float(np.linalg.det(jump_matrix(p, locus, v_probe)))
-    if det_probe == det_0:
-        raise ModelError("jump determinant does not depend on v^2; no celerity root")
-    v_sq = v_probe * v_probe * det_0 / (det_0 - det_probe)
-    if not v_sq >= 0.0:
-        raise ModelError(f"jump determinant vanishes at v^2 = {v_sq:.6g} < 0; no real celerity")
-    v_root = math.sqrt(v_sq)
-    _, sing, vt = np.linalg.svd(jump_matrix(p, locus, v_root))
-    if not sing[1] > 1e3 * sing[2]:
-        raise ModelError(
-            "jump matrix at the determinant root is not numerically rank 2 "
-            f"(singular values {sing})")
-    vec = vt[2]
-    if vec[1] != 0.0:
-        vec = vec / vec[1]
-    lam1, lam2, lam3 = (float(x) for x in vec)
-    # C*lam1 + D*lam2 = 0 is the jump of the capillary flux divergence; it
-    # holds for every wave, so a null vector breaking it is not a wave
-    resid = abs(p.C * lam1 + p.D * lam2)
-    if resid > 1e-12 * max(1.0, abs(p.C * lam1), abs(p.D * lam2)):
-        raise ModelError(f"amplitudes violate C*lam1 + D*lam2 = 0 (residual {resid:.3e})")
-    return CelerityResult(v=v_root, lam=(lam1, lam2, lam3))
+    v, lam = celerity_roots(p, locus.rho, locus.grad_s_normal, locus.grad_s_tg_sq)
+    return CelerityResult(v=float(v), lam=tuple(lam.tolist()))
 
 
 def dividing_surface_density_gradient(p: FluidParams, bc: BulkConditions) -> float:

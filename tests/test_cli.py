@@ -11,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 CLI = [sys.executable, "-m", "thermocap"]
 
@@ -336,6 +338,55 @@ def test_bad_configs_exit_2(tmp_path, config):
     assert not out.exists()
 
 
+def _config_documents():
+    """JSON config documents: mostly the real layout, with any JSON value
+    (NaN, Infinity, huge integers, bools, strings, nesting) in its slots."""
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+        | st.integers(-(10 ** 400), 10 ** 400),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        max_leaves=6)
+    numbers = st.floats(1e-6, 2.0) | st.floats() | st.integers(-(2 ** 70), 2 ** 70) | json_values
+
+    def keyed(keys, values):
+        return st.dictionaries(st.sampled_from([*keys, "bogus"]), values, max_size=3) | json_values
+
+    # n_points stays small or absurd: a grid of 10^8 nodes would be a real
+    # allocation, one of 10^15 fails at once
+    n_points = (st.integers(-3, 4001) | st.floats(0.0, 4001.0)
+                | st.sampled_from([True, "1001", 10 ** 15 + 1]))
+    return st.fixed_dictionaries({}, optional={
+        "params": keyed(["A", "B", "rho_c", "T_c", "mu_c", "p_c", "C", "D", "E"], numbers),
+        "delta_T": numbers,
+        "T0": numbers,
+        "grid": st.fixed_dictionaries({}, optional={
+            "half_width_in_zeta": numbers, "n_points": n_points}) | json_values,
+        "sweep": keyed(["delta_t_values", "use_full_solver", "tolerances"],
+                       st.lists(numbers, max_size=5) | keyed(["v", "sigma"], numbers)
+                       | json_values),
+        "format": st.sampled_from(["csv", "json", "both"]) | json_values,
+        "seed": st.integers(-1, 2 ** 65) | json_values,
+        "bogus": json_values,
+    }) | json_values
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(command=st.sampled_from(["profile", "celerity"]), doc=_config_documents())
+def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, capsys, command, doc):
+    # every config document, however malformed, ends in exit 0/2/3/4 with
+    # the error named on stderr, never in an uncaught exception
+    from thermocap import cli
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4)
+    assert rc == 0 or err.strip()
+
+
 @pytest.mark.parametrize("command", ["celerity", "check"])
 def test_full_is_refused_where_it_selects_no_route(tmp_path, command):
     # celerity has only closed-form loci and check always runs both routes,
@@ -389,6 +440,26 @@ def test_critical_isotherm_profile_exits_3(tmp_path):
     assert proc.returncode == 3
     assert "critical" in proc.stderr.lower() or "width" in proc.stderr.lower()
     # no partial artifacts on failure
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("config, message", [
+    # bulk densities that coincide in floating point leave no interface
+    ({"delta_T": 5e-106}, "does not separate the bulk densities"),
+    ({"params": {"rho_c": 1125899906842625.0}}, "does not separate the bulk densities"),
+    # A^2 overflows in the slaved entropy
+    ({"params": {"A": 1.3407807929942597e154, "B": 1.34078079299426e152}}, "OverflowError"),
+    ({"grid": {"n_points": 10 ** 15 + 1}}, "MemoryError"),
+])
+def test_unanswerable_profiles_exit_3(tmp_path, capsys, config, message):
+    # each of these used to escape the CLI as an uncaught exception
+    from thermocap import cli
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["profile", "--config", str(cfg), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())
 
 

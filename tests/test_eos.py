@@ -75,6 +75,23 @@ def test_validate_params_fills_defaults():
     assert p.A == 1.0 and p.C == 1.0 and p.E == 1.0
 
 
+@pytest.mark.parametrize("value", [True, "2", None, 10 ** 400])
+def test_validate_params_refuses_non_numbers(value):
+    # bools and strings are no material constants, and an integer beyond
+    # the float range has no value to run with
+    with pytest.raises(InvalidConfig, match=r"params\.A"):
+        validate_params({"A": value})
+    assert validate_params({"A": np.int64(2)}).A == 2.0
+
+
+@pytest.mark.parametrize("value", [True, "0.01", None, 10 ** 400])
+def test_bulk_conditions_refuses_non_numbers(value):
+    with pytest.raises(InvalidConfig, match="delta_t"):
+        bulk_conditions(P0, delta_t=value)
+    with pytest.raises(InvalidConfig, match="T0"):
+        bulk_conditions(P0, T0=value)
+
+
 def test_bulk_conditions_needs_exactly_one_temperature_input():
     with pytest.raises(InvalidConfig):
         bulk_conditions(P0)

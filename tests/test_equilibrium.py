@@ -9,6 +9,8 @@ of 0.01: bulk densities 1 +/- 0.1, width sqrt(50), surface tension
 import importlib.machinery
 import io
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -411,6 +413,29 @@ def test_dgbsv_is_scipys_own_routine():
     gbsv, = scipy.linalg.get_lapack_funcs(("gbsv",), dtype=np.float64)
     assert equilibrium._dgbsv() is gbsv
     assert equilibrium._dgbsv.__wrapped__() is gbsv  # a fresh load, not the cache
+
+
+@pytest.mark.parametrize("direct_first", [True, False])
+def test_scipy_linalg_binds_flapack_in_either_import_order(direct_first):
+    # the direct load leaves scipy's package state as its own import does:
+    # scipy.linalg._flapack is the package attribute and the sys.modules
+    # entry, and the package route hands out the same dgbsv
+    load = "gbsv = equilibrium._dgbsv()"
+    script = f"""
+import sys
+import numpy as np
+from thermocap import equilibrium
+{load if direct_first else ""}
+import scipy.linalg
+{"" if direct_first else load}
+flapack = getattr(scipy.linalg, "_flapack", None)
+print(flapack is not None, flapack is sys.modules["scipy.linalg._flapack"],
+      scipy.linalg.get_lapack_funcs(("gbsv",), dtype=np.float64)[0] is gbsv,
+      any(f is equilibrium._BindFlapack for f in sys.meta_path))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True", "False"]
 
 
 def test_dgbsv_falls_back_to_the_package_route(monkeypatch):

@@ -185,6 +185,14 @@ def test_sweep_config_refuses_tolerances_that_cannot_judge(tolerances, match):
         SweepConfig(tolerances=tolerances)
 
 
+@pytest.mark.parametrize("value", [True, "abc", None, 10 ** 400])
+def test_sweep_config_refuses_non_numbers(value):
+    with pytest.raises(InvalidConfig, match=r"sweep\.tolerances\.v"):
+        SweepConfig(tolerances={"v": value})
+    with pytest.raises(InvalidConfig, match=r"sweep\.delta_t_values\[2\]"):
+        SweepConfig(delta_t_values=(1e-1, 1e-2, value, 1e-4))
+
+
 def test_sweep_config_copies_its_tolerances():
     given = {"sigma": 1}
     cfg = SweepConfig(tolerances=given)

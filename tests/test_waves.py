@@ -23,7 +23,9 @@ from thermocap import (
     dividing_surface_locus,
     jump_matrix,
 )
-from thermocap.waves import dividing_surface_density_gradient
+from thermocap import GridConfig
+from thermocap.checks import run_checks
+from thermocap.waves import celerity_roots, dividing_surface_density_gradient, jump_matrices
 from thermocap.errors import InvalidConfig, ModelError
 
 P0 = FluidParams()
@@ -62,11 +64,15 @@ def test_celerity_result_rejects_negative_speed():
 
 def test_determinant_route_enforces_flux_constraint(monkeypatch):
     # lam must sit in the kernel of the capillary-flux row (C, D, 0); feed
-    # the route a well-separated null vector that breaks it
+    # the route a well-separated null vector that breaks it, stacked like
+    # np.linalg.svd's output for the stack of matrices it is given
     def fake_svd(mat):
-        return None, np.array([2.0, 1.0, 0.0]), np.array([[1.0, 0.0, 0.0],
-                                                          [0.0, 0.0, 1.0],
-                                                          [1.0, 1.0, 0.0]])
+        sing = np.array([2.0, 1.0, 0.0])
+        vt = np.array([[1.0, 0.0, 0.0],
+                       [0.0, 0.0, 1.0],
+                       [1.0, 1.0, 0.0]])
+        return (None, np.broadcast_to(sing, mat.shape[:-1]),
+                np.broadcast_to(vt, mat.shape))
     monkeypatch.setattr(np.linalg, "svd", fake_svd)
     locus = WaveLocus(rho=1.0, grad_s_normal=0.0, grad_s_tg_sq=1e-9)
     with pytest.raises(ModelError, match="lam1"):
@@ -202,6 +208,94 @@ def test_celerity_is_nonnegative_for_admissible_parameters():
         result = celerity_general(p, random_locus(rng))
         assert result.v >= 0.0
         assert result.v * result.v >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Batched root
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [0.0, 0.3, 0.999])
+def test_batched_root_is_bitwise_the_per_locus_root(d):
+    # one stacked det and one stacked svd run the same LAPACK routine on
+    # each matrix, so every locus keeps the bits it gets on its own
+    p = FluidParams(D=d)
+    rng = np.random.default_rng(31)
+    n = 240
+    rho = rng.uniform(0.3, 2.0, n)
+    a = rng.uniform(-0.1, 0.1, n)
+    g2 = 10.0 ** rng.uniform(-14.0, 0.0, n)
+    v, lam = celerity_roots(p, rho, a, g2)
+    assert v.shape == (n,) and lam.shape == (n, 3)
+    mats = jump_matrices(p, rho, a, g2, v)
+    for k in range(n):
+        locus = WaveLocus(rho=float(rho[k]), grad_s_normal=float(a[k]),
+                          grad_s_tg_sq=float(g2[k]))
+        single = celerity_by_determinant(p, locus)
+        assert v[k] == single.v
+        assert tuple(lam[k].tolist()) == single.lam
+        assert np.array_equal(mats[k], jump_matrix(p, locus, single.v))
+    # loci broadcast, and the batch keeps their shape
+    v2, lam2 = celerity_roots(p, rho.reshape(12, 20), a[0], g2.reshape(12, 20))
+    assert v2.shape == (12, 20) and lam2.shape == (12, 20, 3)
+    assert np.array_equal(v2[3, 4], celerity_roots(p, rho[64], a[0], g2[64])[0])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("g2", 0.0, "grad_s_tg_sq > 0"),
+    ("g2", -1e-9, "grad_s_tg_sq > 0"),
+    ("a", math.nan, "must be finite"),
+    ("rho", math.inf, "must be finite"),
+    ("rho", 0.0, "density must be > 0"),
+    ("rho", -1.0, "density must be > 0"),
+])
+def test_batched_root_names_the_first_bad_locus(field, value, message):
+    loci = {"rho": np.full(9, 1.1), "a": np.zeros(9), "g2": np.full(9, 1e-9)}
+    loci[field][[6, 8]] = value
+    with pytest.raises(InvalidConfig, match=rf"{message}.* \(locus 6\)$"):
+        celerity_roots(P0, **loci)
+    # the same locus alone keeps the single-locus message
+    with pytest.raises(InvalidConfig, match=message) as alone:
+        celerity_roots(P0, **{k: float(x[6]) for k, x in loci.items()})
+    assert "(locus" not in str(alone.value)
+
+
+def test_batched_root_names_the_locus_where_a_guard_fails():
+    # at rho = 1e300, g2 = 1e-300 the probe speed E g2 / rho underflows to
+    # zero, so the determinant shows no slope in v^2 at that locus only
+    rho, g2 = np.ones((2, 3)), np.full((2, 3), 1e-9)
+    rho[1, 0], g2[1, 0] = 1e300, 1e-300
+    with pytest.raises(ModelError,
+                       match=r"does not depend on v\^2; no celerity root \(locus \(1, 0\)\)$"):
+        celerity_roots(P0, rho, 0.0, g2)
+    with pytest.raises(ModelError, match=r"< 0; no real celerity \(locus 0\)$"):
+        celerity_roots(SimpleNamespace(C=1.0, D=1.5, E=1.0), np.ones(4), 0.0, 1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2 ** 63 - 5])
+def test_check_wave_metrics_match_a_per_locus_recomputation(seed):
+    checks = {c["name"]: c["metric"] for c in run_checks(P0, BC, GridConfig(), seed)}
+    # replay the suite's draws: three 200-sample eos draws, then the loci,
+    # then one probe factor per locus
+    rng = np.random.default_rng(seed)
+    for lo, hi in ((-4.0, -1.0), (-1.0, 1.0), (0.5, 1.5)):
+        rng.uniform(lo, hi, 200)
+    rho_w = P0.rho_c * rng.uniform(0.5, 1.5, 100)
+    a_w = rng.uniform(-1.0, 1.0, 100) * 0.1
+    g2_w = 10.0 ** rng.uniform(-12.0, -2.0, 100)
+    det_err = cel_err = 0.0
+    for rho_i, a_i, g2_i in zip(rho_w.tolist(), a_w.tolist(), g2_w.tolist()):
+        locus = WaveLocus(rho=rho_i, grad_s_normal=a_i, grad_s_tg_sq=g2_i)
+        v_probe = rng.uniform(0.0, 2.0) * math.sqrt(
+            (P0.C * P0.E - P0.D * P0.D) * g2_i / (P0.C * rho_i))
+        num = float(np.linalg.det(jump_matrix(P0, locus, v_probe)))
+        grad_term = (P0.C * P0.E - P0.D * P0.D) * g2_i
+        speed_term = P0.C * rho_i * v_probe ** 2
+        ref = -rho_i * (grad_term - speed_term)
+        det_err = max(det_err, abs(num - ref) / (rho_i * (grad_term + speed_term)))
+        closed = celerity_general(P0, locus).v
+        cel_err = max(cel_err, abs(closed - celerity_by_determinant(P0, locus).v) / closed)
+    assert checks["jump-determinant-identity"] == det_err
+    assert checks["celerity-root-vs-closed-form"] == cel_err
 
 
 # ---------------------------------------------------------------------------
