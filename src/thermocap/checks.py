@@ -100,8 +100,7 @@ def run_checks(p: FluidParams, bc: BulkConditions, grid: GridConfig,
     rho_w = p.rho_c * rng.uniform(0.5, 1.5, n_loci)
     a_w = rng.uniform(-1.0, 1.0, n_loci) * 0.1
     g2_w = 10.0 ** rng.uniform(-12.0, -2.0, n_loci)
-    # the closed form sqrt((CE - D^2) g2 / (C rho)), as celerity_general has it
-    v_closed = np.sqrt((p.C * p.E - p.D * p.D) * g2_w / (p.C * rho_w))
+    v_closed, _ = waves.celerity_closed(p, rho_w, a_w, g2_w)
     v_probe = rng.uniform(0.0, 2.0, n_loci) * v_closed
     num = np.linalg.det(waves.jump_matrices(p, rho_w, a_w, g2_w, v_probe))
     grad_term = (p.C * p.E - p.D * p.D) * g2_w

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -33,12 +34,7 @@ from . import equilibrium, scaling, waves
 from .checks import run_checks
 from .eos import BulkConditions, FluidParams, bulk_conditions, validate_params
 from .equilibrium import GridConfig
-from .errors import (
-    IndefiniteGradientForm,
-    InvalidConfig,
-    ModelError,
-    NonPositiveConstant,
-)
+from .errors import InvalidConfig, ModelError
 from .scaling import SweepConfig
 
 __all__ = ["main"]
@@ -48,11 +44,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
-_CONFIG_ERRORS = (InvalidConfig, NonPositiveConstant, IndefiniteGradientForm)
-
 _TOP_KEYS = {"params", "delta_T", "T0", "grid", "sweep", "format", "seed", "out"}
-_GRID_KEYS = {"half_width_in_zeta", "n_points"}
-_SWEEP_KEYS = {"delta_t_values", "use_full_solver", "tolerances"}
+_GRID_KEYS = {f.name for f in fields(GridConfig)}
+_SWEEP_KEYS = {f.name for f in fields(SweepConfig)} - {"grid"}  # grid is a top-level key
 _LOCUS_KEYS = ("rho", "a", "g2")
 
 
@@ -112,6 +106,13 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _write_json(out_dir: str, name: str, payload) -> None:
     _write_atomic(os.path.join(out_dir, name), _format_json(payload) + "\n")
+
+
+def _write_csv(out_dir: str, name: str, write, data) -> None:
+    """Write the CSV that write(data, stream) produces, atomically."""
+    buf = io.StringIO()
+    write(data, buf)
+    _write_atomic(os.path.join(out_dir, name), buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +187,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
     sweep_raw = _require_mapping(raw.get("sweep", {}), "sweep")
     _check_keys(sweep_raw, _SWEEP_KEYS, "sweep")
-    sweep_kwargs = {}
-    if "tolerances" in sweep_raw:
-        sweep_kwargs["tolerances"] = _require_mapping(sweep_raw["tolerances"],
-                                                      "sweep.tolerances")
-    if "delta_t_values" in sweep_raw:
-        vals = sweep_raw["delta_t_values"]
-        if not isinstance(vals, (list, tuple)):
-            raise InvalidConfig("sweep.delta_t_values must be an array")
-        sweep_kwargs["delta_t_values"] = vals
-    use_full = sweep_raw.get("use_full_solver", False)
-    if not isinstance(use_full, bool):
-        raise InvalidConfig(f"sweep.use_full_solver must be true or false, got {use_full!r}")
+    sweep = SweepConfig(grid=grid, **sweep_raw)
     full = getattr(args, "full", False)  # only profile and sweep take --full
-    sweep = SweepConfig(grid=grid, use_full_solver=use_full or full, **sweep_kwargs)
+    if full:
+        sweep = replace(sweep, use_full_solver=True)
 
     fmt = args.format if args.format is not None else raw.get("format", "both")
     if fmt not in ("csv", "json", "both"):
@@ -237,10 +228,7 @@ def cmd_profile(cfg: RunConfig) -> int:
     obs = equilibrium.interface_observables(cfg.params, cfg.bc, prof)
     _ensure_out(cfg)
     if cfg.fmt in ("csv", "both"):
-        import io
-        buf = io.StringIO()
-        equilibrium.profile_to_csv(prof, buf)
-        _write_atomic(os.path.join(cfg.out_dir, "profile.csv"), buf.getvalue())
+        _write_csv(cfg.out_dir, "profile.csv", equilibrium.profile_to_csv, prof)
     if cfg.fmt in ("json", "both"):
         payload = obs.to_dict()
         payload["seed"] = cfg.seed
@@ -307,10 +295,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     sys.stdout.write(_sweep_table(report, summary))
     _ensure_out(cfg)
     if cfg.fmt in ("csv", "both"):
-        import io
-        buf = io.StringIO()
-        scaling.report_to_csv(report, buf)
-        _write_atomic(os.path.join(cfg.out_dir, "sweep.csv"), buf.getvalue())
+        _write_csv(cfg.out_dir, "sweep.csv", scaling.report_to_csv, report)
     if cfg.fmt in ("json", "both"):
         payload = report.to_dict()
         payload["verification"] = summary.to_dict()
@@ -378,12 +363,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-    except (*_CONFIG_ERRORS, TypeError, ValueError, OSError) as exc:  # ValueError covers bad JSON
+    except (InvalidConfig, TypeError, ValueError, OSError) as exc:  # ValueError covers bad JSON
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         return args.handler(cfg)
-    except _CONFIG_ERRORS as exc:
+    except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ModelError as exc:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .errors import IndefiniteGradientForm, InvalidConfig, NonPositiveConstant
@@ -38,6 +38,7 @@ __all__ = [
     "ThermoState",
     "BulkConditions",
     "read_number",
+    "read_fields",
     "validate_params",
     "bulk_conditions",
     "bulk_energy",
@@ -67,6 +68,7 @@ class FluidParams:
     E: float = 1.0        # entropy-gradient stiffness
 
     def __post_init__(self):
+        read_fields(self, "params")
         for name in ("A", "B", "rho_c", "T_c"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -99,6 +101,16 @@ def read_number(value, where: str) -> float:
         raise InvalidConfig(f"{where} is out of range: {value!r}") from None
 
 
+def read_fields(obj, where: str, names=None) -> None:
+    """Pass the named fields of a frozen dataclass (all by default) through read_number.
+
+    Each field is replaced by its float, and a refused value names itself
+    as where.field.
+    """
+    for name in names or [f.name for f in fields(obj)]:
+        object.__setattr__(obj, name, read_number(getattr(obj, name), f"{where}.{name}"))
+
+
 def validate_params(raw: Mapping[str, float]) -> FluidParams:
     """Build FluidParams from a mapping, rejecting unknown keys.
 
@@ -106,11 +118,10 @@ def validate_params(raw: Mapping[str, float]) -> FluidParams:
     checking exists so a typo in a physics constant fails loudly instead of
     silently running with a default.
     """
-    known = set(FluidParams.__dataclass_fields__)
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - {f.name for f in fields(FluidParams)})
     if unknown:
         raise InvalidConfig(f"unknown parameter key(s): {', '.join(unknown)}")
-    return FluidParams(**{k: read_number(v, f"params.{k}") for k, v in raw.items()})
+    return FluidParams(**raw)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ buffer that the Jacobian is assembled into, so the binding hands LAPACK the
 buffer itself, with no copy or transpose.  Only the full route needs scipy,
 and only for that LAPACK routine: on first use it loads scipy's compiled
 extension scipy.linalg._flapack on its own (see _dgbsv), never the scipy
-or scipy.linalg packages, so no route pays the scipy.linalg import.
+or scipy.linalg packages, so no route pays the scipy.linalg import.  The
+loader leaves no module behind in sys.modules, so a later import of
+scipy.linalg binds the extension as usual, with the same routine objects.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from .eos import (
     chemical_potential_cubic,
     entropy_slave,
     pressure,
+    read_fields,
 )
 from .errors import (
     CriticalIsotherm,
@@ -86,6 +89,7 @@ class GridConfig:
     n_points: int = 1001              # odd so a node sits exactly at y = 0
 
     def __post_init__(self):
+        read_fields(self, "grid", ["half_width_in_zeta"])
         if not isinstance(self.n_points, int) or self.n_points < 51 or self.n_points % 2 == 0:
             raise InvalidConfig(f"n_points must be an odd integer >= 51, got {self.n_points!r}")
         if not (math.isfinite(self.half_width_in_zeta) and self.half_width_in_zeta >= 8.0):
@@ -140,7 +144,7 @@ class InterfaceObservables:
     sigma_closed: float  # closed-form surface tension
     sigma_quad: float    # quadrature surface tension on the profile
     f0: float            # first-integral constant A^2 delta_t^2 / (4B)
-    delta_t: float
+    delta_T: float       # the undercooling T_c - T0
 
     def __post_init__(self):
         if not self.zeta > 0.0:
@@ -151,15 +155,7 @@ class InterfaceObservables:
             raise ValueError("surface tension must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "zeta": self.zeta,
-            "rho_l": self.rho_l,
-            "rho_v": self.rho_v,
-            "sigma_closed": self.sigma_closed,
-            "sigma_quad": self.sigma_quad,
-            "f0": self.f0,
-            "delta_T": self.delta_t,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -179,15 +175,7 @@ class NewtonReport:
             raise ValueError("converged report must satisfy residual <= tolerance")
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-            "damping_history": list(self.damping_history),
-            "tolerance": self.tolerance,
-            "phase_force": self.phase_force,
-            "residual_history": list(self.residual_history),
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -361,25 +349,6 @@ _MAX_ITER = 50
 _MAX_DAMPING = 20  # step halvings allowed per iteration
 
 
-class _BindFlapack:
-    """One-shot import hook that lets scipy.linalg bind its own _flapack.
-
-    After _dgbsv loads scipy.linalg._flapack directly, the extension sits in
-    sys.modules, so a later import of scipy.linalg would find it there and
-    never set it as the package attribute scipy.linalg._flapack.  Just
-    before scipy.linalg is imported this hook removes itself and drops that
-    entry; the package's own import then re-creates the module from the
-    extension's cached state, with the same routine objects, and binds it.
-    """
-
-    @staticmethod
-    def find_spec(name, path=None, target=None):
-        if name == "scipy.linalg":
-            sys.meta_path.remove(_BindFlapack)
-            sys.modules.pop("scipy.linalg._flapack", None)
-        return None  # the regular finders locate scipy.linalg
-
-
 @functools.cache
 def _dgbsv():
     """scipy's compiled dgbsv, without importing scipy or scipy.linalg.
@@ -401,8 +370,12 @@ def _dgbsv():
         return get_lapack_funcs(("gbsv",), dtype=np.float64)[0]
     flapack = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(flapack)
-    if "scipy.linalg" not in sys.modules and _BindFlapack not in sys.meta_path:
-        sys.meta_path.insert(0, _BindFlapack)
+    if "scipy.linalg" not in sys.modules:
+        # left in sys.modules, the extension would keep a later import of
+        # scipy.linalg from binding it as the package attribute; dropped,
+        # that import re-creates it from the extension's cached state, with
+        # the same routine objects
+        sys.modules.pop("scipy.linalg._flapack", None)
     return flapack.dgbsv
 
 
@@ -591,7 +564,7 @@ def interface_observables(p: FluidParams, bc: BulkConditions,
         sigma_closed=surface_tension_closed(p, bc),
         sigma_quad=surface_tension_quadrature(p, prof),
         f0=(p.A * bc.delta_t) ** 2 / (4.0 * p.B),
-        delta_t=bc.delta_t,
+        delta_T=bc.delta_t,
     )
 
 
@@ -599,8 +572,7 @@ def interface_observables(p: FluidParams, bc: BulkConditions,
 # Korteweg stress
 # ---------------------------------------------------------------------------
 
-def stress_tensor(p: FluidParams, st: ThermoState, grad_rho, grad_s,
-                  lap_rho: float, lap_s: float) -> np.ndarray:
+def stress_tensor(p: FluidParams, rho, s, grad_rho, grad_s, lap_rho, lap_s) -> np.ndarray:
     """Full capillary stress sigma_ij = -(P - rho div Phi) delta_ij - Phi_j rho_,i - Psi_j s_,i.
 
     Phi = C grad rho + D grad s and Psi = D grad rho + E grad s are the
@@ -608,19 +580,25 @@ def stress_tensor(p: FluidParams, st: ThermoState, grad_rho, grad_s,
     Legendre combination rho*de/drho - e of the TOTAL energy, so the
     gradient quadratic enters with a minus sign; with that P the normal
     stress component is exactly constant across any equilibrium profile.
+
+    Broadcasts over leading axes: the last axis of grad_rho and grad_s is
+    space, of any dimension d, and the rest broadcast with rho, s, lap_rho
+    and lap_s.  Returns the (..., d, d) stack of tensors.
     """
     grad_rho = np.asarray(grad_rho, dtype=float)
     grad_s = np.asarray(grad_s, dtype=float)
-    if grad_rho.shape != (3,) or grad_s.shape != (3,):
-        raise ValueError("grad_rho and grad_s must be 3-vectors")
+    if grad_rho.ndim == 0 or grad_rho.shape[-1:] != grad_s.shape[-1:]:
+        raise ValueError("grad_rho and grad_s must share their last axis, the space axis")
     phi = p.C * grad_rho + p.D * grad_s
     psi = p.D * grad_rho + p.E * grad_s
-    quad = float(grad_rho @ phi + grad_s @ psi)  # C|gr|^2 + 2D gr.gs + E|gs|^2
-    p_total = pressure(p, st.rho, st.s) - 0.5 * quad
+    quad = np.sum(grad_rho * phi + grad_s * psi, axis=-1)  # C|gr|^2 + 2D gr.gs + E|gs|^2
+    p_total = pressure(p, rho, s) - 0.5 * quad
     div_phi = p.C * lap_rho + p.D * lap_s
-    out = -(p_total - st.rho * div_phi) * np.eye(3)
-    out -= np.outer(grad_rho, phi)
-    out -= np.outer(grad_s, psi)
+    # the diagonal's leading shape is the broadcast of every input's, so
+    # the outer products can be subtracted in place
+    out = -(p_total - rho * div_phi)[..., None, None] * np.eye(grad_rho.shape[-1])
+    out -= grad_rho[..., :, None] * phi[..., None, :]
+    out -= grad_s[..., :, None] * psi[..., None, :]
     return out
 
 
@@ -628,23 +606,14 @@ def stress_yy_profile(p: FluidParams, prof: Profile) -> tuple[np.ndarray, np.nda
     """Normal stress component along a 1-d profile (y the normal direction).
 
     Returns (y, sigma_yy) on the interior nodes 2..n-3 where the 4th-order
-    stencils apply.  Vectorized version of stress_tensor for the single
-    component the equilibrium check needs.
+    stencils apply: stress_tensor with y as its single space axis.
     """
     h = prof.h
-    drho = derivative_4th(prof.rho, h)[2:-2]
-    ds = derivative_4th(prof.s, h)[2:-2]
-    d2rho = second_derivative_4th(prof.rho, h)
-    d2s = second_derivative_4th(prof.s, h)
-    rho = prof.rho[2:-2]
-    s = prof.s[2:-2]
-    phi_y = p.C * drho + p.D * ds
-    psi_y = p.D * drho + p.E * ds
-    quad = drho * phi_y + ds * psi_y
-    p_total = pressure(p, rho, s) - 0.5 * quad
-    div_phi = p.C * d2rho + p.D * d2s
-    sigma_yy = -(p_total - rho * div_phi) - phi_y * drho - psi_y * ds
-    return prof.y[2:-2], sigma_yy
+    sigma = stress_tensor(p, prof.rho[2:-2], prof.s[2:-2],
+                          derivative_4th(prof.rho, h)[2:-2, None],
+                          derivative_4th(prof.s, h)[2:-2, None],
+                          second_derivative_4th(prof.rho, h), second_derivative_4th(prof.s, h))
+    return prof.y[2:-2], sigma[:, 0, 0]
 
 
 def equilibrium_stress_residual(p: FluidParams, prof: Profile) -> float:

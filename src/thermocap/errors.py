@@ -13,16 +13,16 @@ class ModelError(Exception):
         self.report = report
 
 
-class NonPositiveConstant(ModelError):
+class InvalidConfig(ModelError):
+    """A configuration value breaks a documented invariant."""
+
+
+class NonPositiveConstant(InvalidConfig):
     """A material constant that must be strictly positive is not."""
 
 
-class IndefiniteGradientForm(ModelError):
+class IndefiniteGradientForm(InvalidConfig):
     """Gradient-energy coefficients violate C > 0 and C*E - D**2 > 0."""
-
-
-class InvalidConfig(ModelError):
-    """A configuration value breaks a documented invariant."""
 
 
 class CriticalIsotherm(ModelError):

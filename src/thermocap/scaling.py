@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import types
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -70,8 +70,6 @@ _LAW_COLUMNS = {
     "deviation": "full_vs_reduced_deviation",
 }
 
-CSV_HEADER = "delta_t,amp_rho,amp_s,zeta_measured,sigma_quad,v,full_vs_reduced_deviation"
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -87,6 +85,13 @@ class SweepConfig:
     tolerances: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.delta_t_values, (list, tuple, np.ndarray)):
+            raise InvalidConfig("sweep.delta_t_values must be an array")
+        if not isinstance(self.use_full_solver, bool):
+            raise InvalidConfig(
+                f"sweep.use_full_solver must be true or false, got {self.use_full_solver!r}")
+        if not isinstance(self.tolerances, Mapping):
+            raise InvalidConfig("sweep.tolerances must be a JSON object")
         vals = tuple(read_number(v, f"sweep.delta_t_values[{i}]")
                      for i, v in enumerate(self.delta_t_values))
         object.__setattr__(self, "delta_t_values", vals)
@@ -102,7 +107,7 @@ class SweepConfig:
         tols = dict(self.tolerances)
         unknown = set(tols) - set(EXPONENT_TARGETS)
         if unknown:
-            raise InvalidConfig(f"unknown sweep.tolerances keys: {sorted(unknown)}")
+            raise InvalidConfig(f"unknown sweep.tolerances keys: {sorted(unknown, key=str)}")
         tols = {law: read_number(tol, f"sweep.tolerances.{law}") for law, tol in tols.items()}
         object.__setattr__(self, "tolerances", types.MappingProxyType(tols))  # read-only copy
         bad = {law: tol for law, tol in tols.items() if not (math.isfinite(tol) and tol > 0.0)}
@@ -124,16 +129,12 @@ class SweepRow:
     error: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "delta_t": self.delta_t,
-            "amp_rho": self.amp_rho,
-            "amp_s": self.amp_s,
-            "zeta_measured": self.zeta_measured,
-            "sigma_quad": self.sigma_quad,
-            "v": self.v,
-            "full_vs_reduced_deviation": self.full_vs_reduced_deviation,
-            "error": self.error,
-        }
+        return asdict(self)
+
+
+# every measured column of a SweepRow, in field order; the CSV has no error column
+_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "error")
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -151,14 +152,7 @@ class ExponentFit:
         return abs(self.slope - self.target) <= self.tolerance
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "max_residual": self.max_residual,
-            "target": self.target,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -356,6 +350,4 @@ def report_to_csv(report: ScalingReport, stream) -> None:
     """One row per undercooling, headers fixed, 17 significant digits."""
     stream.write(CSV_HEADER + "\n")
     for r in report.rows:
-        stream.write(",".join(f"{val:.17g}" for val in (
-            r.delta_t, r.amp_rho, r.amp_s, r.zeta_measured,
-            r.sigma_quad, r.v, r.full_vs_reduced_deviation)) + "\n")
+        stream.write(",".join(f"{getattr(r, name):.17g}" for name in _CSV_COLUMNS) + "\n")

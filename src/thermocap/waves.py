@@ -20,17 +20,21 @@ The numeric root works on arrays of loci: jump_matrices fills a
 takes both determinant evaluations of every locus in one stacked
 np.linalg.det call and every rank certificate in one np.linalg.svd call.
 jump_matrix and celerity_by_determinant are its one-locus case, with the
-same bits and the same error messages.
+same bits and the same error messages.  The closed form pairs the same
+way: celerity_closed takes the same broadcast loci, and celerity_general
+is its one-locus case.  Both routes, and WaveLocus, run one guard: finite
+entries and rho > 0, with g2 >= 0 for the closed form and g2 > 0 for the
+root, which has no root to find at g2 = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .eos import BulkConditions, FluidParams
+from .eos import BulkConditions, FluidParams, read_fields
 from .errors import InvalidConfig, ModelError
 
 __all__ = [
@@ -39,6 +43,7 @@ __all__ = [
     "jump_matrix",
     "jump_matrices",
     "celerity_general",
+    "celerity_closed",
     "celerity_by_determinant",
     "celerity_roots",
     "celerity_at_critical_density",
@@ -62,21 +67,11 @@ class WaveLocus:
     grad_s_tg_sq: float
 
     def __post_init__(self):
-        vals = (self.rho, self.grad_s_normal, self.grad_s_tg_sq)
-        if not all(math.isfinite(v) for v in vals):
-            raise InvalidConfig(f"wave locus entries must be finite, got {vals}")
-        if self.rho <= 0.0:
-            raise InvalidConfig(f"locus density must be > 0, got {self.rho}")
-        if self.grad_s_tg_sq < 0.0:
-            raise InvalidConfig(
-                f"squared tangential gradient must be >= 0, got {self.grad_s_tg_sq}")
+        read_fields(self, "locus")
+        _loci(self.rho, self.grad_s_normal, self.grad_s_tg_sq, root=False)
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "grad_s_normal": self.grad_s_normal,
-            "grad_s_tg_sq": self.grad_s_tg_sq,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -130,24 +125,6 @@ def jump_matrix(p: FluidParams, locus: WaveLocus, v: float) -> np.ndarray:
     return jump_matrices(p, locus.rho, locus.grad_s_normal, locus.grad_s_tg_sq, v)
 
 
-def _amplitudes_closed(p: FluidParams, locus: WaveLocus) -> tuple[float, float, float]:
-    lam1 = -p.D / p.C
-    lam3 = -(locus.grad_s_normal / locus.rho) * (p.E - p.D * p.D / p.C)
-    return (lam1, 1.0, lam3)
-
-
-def celerity_general(p: FluidParams, locus: WaveLocus) -> CelerityResult:
-    """Closed-form celerity v = sqrt((CE - D^2) g^2 / (C rho)) with amplitudes.
-
-    Amplitudes are normalized to lam2 = 1: lam1 = -D/C from the first row,
-    lam3 from the second.  The jump vector is tangential to the wave
-    surface, so these waves transport no mass through their own front.
-    """
-    g2 = locus.grad_s_tg_sq
-    v = math.sqrt((p.C * p.E - p.D * p.D) * g2 / (p.C * locus.rho))
-    return CelerityResult(v=v, lam=_amplitudes_closed(p, locus))
-
-
 def _require(ok: np.ndarray, shape: tuple, error: type, describe) -> None:
     """Raise error(describe(k)) for the first locus k where ok is False.
 
@@ -158,6 +135,49 @@ def _require(ok: np.ndarray, shape: tuple, error: type, describe) -> None:
         k = int(np.argmin(ok))
         where = k if len(shape) == 1 else tuple(map(int, np.unravel_index(k, shape)))
         raise error(describe(k) + (f" (locus {where})" if shape else ""))
+
+
+def _loci(rho, a, g2, root: bool) -> tuple[tuple, np.ndarray]:
+    """The batch shape and the (3, n) float rows rho, a, g2 of broadcast loci.
+
+    The one guard of both celerity routes: every locus is finite with
+    rho > 0, and g2 >= 0 for the closed form or g2 > 0 for the root.  A
+    failing locus raises InvalidConfig as _require describes.
+    """
+    shape = np.broadcast(rho, a, g2).shape
+    loci = np.empty((3,) + shape)
+    loci[0], loci[1], loci[2] = rho, a, g2
+    rho, a, g2 = loci = loci.reshape(3, -1)
+    finite = np.isfinite(loci).all(axis=0)
+    g2_ok = g2 > 0.0 if root else g2 >= 0.0
+    _require(finite & (rho > 0.0) & g2_ok, shape, InvalidConfig, lambda k: (
+        f"wave locus entries must be finite, got {tuple(loci[:, k].tolist())}"
+        if not finite[k] else f"locus density must be > 0, got {float(rho[k])}"
+        if not rho[k] > 0.0 else "determinant root-finding requires grad_s_tg_sq > 0"
+        if root else f"squared tangential gradient must be >= 0, got {float(g2[k])}"))
+    return shape, loci
+
+
+def celerity_closed(p: FluidParams, rho, a, g2) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form celerities v = sqrt((CE - D^2) g2 / (C rho)) of a batch of loci.
+
+    rho, a and g2 broadcast as in celerity_roots, and v and the amplitudes
+    lam come back in its shapes.  Amplitudes are normalized to lam2 = 1:
+    lam1 = -D/C from the first row, lam3 = -(a/rho)(E - D^2/C) from the
+    second.  The jump vector is tangential to the wave surface, so these
+    waves transport no mass through their own front.
+    """
+    shape, (rho, a, g2) = _loci(rho, a, g2, root=False)
+    v = np.sqrt((p.C * p.E - p.D * p.D) * g2 / (p.C * rho))
+    lam = np.stack([np.full_like(a, -p.D / p.C), np.ones_like(a),
+                    -(a / rho) * (p.E - p.D * p.D / p.C)], axis=-1)
+    return v.reshape(shape), lam.reshape(shape + (3,))
+
+
+def celerity_general(p: FluidParams, locus: WaveLocus) -> CelerityResult:
+    """Closed-form celerity and amplitudes of one locus: the one-locus case of celerity_closed."""
+    v, lam = celerity_closed(p, locus.rho, locus.grad_s_normal, locus.grad_s_tg_sq)
+    return CelerityResult(v=float(v), lam=tuple(lam.tolist()))
 
 
 def celerity_roots(p: FluidParams, rho, a, g2) -> tuple[np.ndarray, np.ndarray]:
@@ -173,15 +193,7 @@ def celerity_roots(p: FluidParams, rho, a, g2) -> tuple[np.ndarray, np.ndarray]:
     locus gets the same bits in any batch as alone.  A guard failing at any
     locus raises its single-locus error, naming the first failing index.
     """
-    shape = np.broadcast(rho, a, g2).shape
-    loci = np.empty((3,) + shape)
-    loci[0], loci[1], loci[2] = rho, a, g2
-    rho, a, g2 = loci = loci.reshape(3, -1)
-    finite = np.isfinite(loci).all(axis=0)
-    _require(finite & (rho > 0.0) & (g2 > 0.0), shape, InvalidConfig, lambda k: (
-        f"wave locus entries must be finite, got {tuple(loci[:, k].tolist())}"
-        if not finite[k] else f"locus density must be > 0, got {float(rho[k])}"
-        if not rho[k] > 0.0 else "determinant root-finding requires grad_s_tg_sq > 0"))
+    shape, (rho, a, g2) = _loci(rho, a, g2, root=True)
     v_probe = np.sqrt(p.E * g2 / rho)
     v_both = np.zeros((2, v_probe.size))
     v_both[1] = v_probe
@@ -257,6 +269,5 @@ def celerity_at_critical_density(p: FluidParams, bc: BulkConditions) -> Celerity
     """
     num = (p.C * p.E - p.D * p.D) * p.A ** 6 * bc.delta_t ** 4
     den = 8.0 * p.C ** 2 * p.B ** 3 * p.rho_c ** 5
-    v = math.sqrt(num / den)
-    locus = dividing_surface_locus(p, bc)
-    return CelerityResult(v=v, lam=_amplitudes_closed(p, locus))
+    lam = celerity_general(p, dividing_surface_locus(p, bc)).lam
+    return CelerityResult(v=math.sqrt(num / den), lam=lam)

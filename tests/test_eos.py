@@ -7,9 +7,12 @@ the reference parameter set at an undercooling of 0.01.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermocap import (
     FluidParams,
@@ -24,12 +27,14 @@ from thermocap import (
     validate_params,
 )
 from thermocap.eos import BulkConditions, bulk_energy_hessian, enthalpy
-from thermocap.equilibrium import bulk_states
+from thermocap.equilibrium import GridConfig, bulk_states
 from thermocap.errors import (
     IndefiniteGradientForm,
     InvalidConfig,
     NonPositiveConstant,
 )
+from thermocap.scaling import SweepConfig
+from thermocap.waves import WaveLocus
 
 P0 = FluidParams()
 
@@ -82,6 +87,72 @@ def test_validate_params_refuses_non_numbers(value):
     with pytest.raises(InvalidConfig, match=r"params\.A"):
         validate_params({"A": value})
     assert validate_params({"A": np.int64(2)}).A == 2.0
+
+
+def test_constant_errors_are_config_errors():
+    # the CLI maps every InvalidConfig to exit 2, these two included
+    assert issubclass(NonPositiveConstant, InvalidConfig)
+    assert issubclass(IndefiniteGradientForm, InvalidConfig)
+
+
+@pytest.mark.parametrize("value", [True, "2", None, 10 ** 400],
+                         ids=["bool", "str", "None", "huge-int"])
+def test_fluid_params_read_their_constants_as_strict_numbers(value):
+    # the constructor itself reads the constants, so a direct call refuses
+    # what validate_params refuses
+    with pytest.raises(InvalidConfig, match=r"params\.A"):
+        FluidParams(A=value)
+    assert type(FluidParams(A=2).A) is float
+
+
+def _constructor_calls():
+    """(constructor, keyword arguments) pairs with JSON-like values in every
+    fuzzed slot: NaN, infinities, huge integers, bools, strings, nesting."""
+    json_like = st.recursive(
+        st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+        | st.integers(-(10 ** 400), 10 ** 400),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=5)
+    numbers = st.floats(1e-3, 2.0) | json_like
+
+    def call(cls, slots, required=()):
+        return st.tuples(st.just(cls), st.fixed_dictionaries(
+            {k: slots[k] for k in required},
+            optional={k: v for k, v in slots.items() if k not in required}))
+
+    sweep_values = (st.sampled_from([(1e-1, 1e-2, 1e-3, 1e-4), [1.0, 0.1, 0.01, 0.001]])
+                    | st.lists(numbers, max_size=5) | json_like)
+    tolerances = st.dictionaries(st.sampled_from(["v", "sigma", "bogus"]), numbers,
+                                 max_size=2) | json_like
+    return st.one_of(
+        call(FluidParams, {f.name: numbers for f in fields(FluidParams)}),
+        call(GridConfig, {"half_width_in_zeta": st.floats(8.0, 40.0) | json_like,
+                          "n_points": st.sampled_from([51, 1001]) | json_like}),
+        call(SweepConfig, {"delta_t_values": sweep_values, "tolerances": tolerances,
+                           "use_full_solver": st.booleans() | json_like}),
+        call(WaveLocus, {"rho": numbers, "grad_s_normal": numbers, "grad_s_tg_sq": numbers},
+             required=("rho", "grad_s_normal", "grad_s_tg_sq")))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_constructor_calls())
+def test_fuzzed_constructors_build_floats_or_refuse_the_config(case):
+    # every library constructor either builds with float numbers or raises
+    # an InvalidConfig-family error; a TypeError, ValueError or
+    # OverflowError escaping here is a value coerced or refused without
+    # notice
+    cls, kwargs = case
+    try:
+        obj = cls(**kwargs)
+    except InvalidConfig:
+        return
+    if isinstance(obj, SweepConfig):
+        numbers = [*obj.delta_t_values, *obj.tolerances.values()]
+        assert type(obj.use_full_solver) is bool
+    else:
+        numbers = [getattr(obj, f.name) for f in fields(obj) if f.type == "float"]
+    assert numbers and all(type(x) is float for x in numbers)
 
 
 @pytest.mark.parametrize("value", [True, "0.01", None, 10 ** 400])

@@ -70,6 +70,16 @@ def test_grid_config_rejects_bad_values(kwargs):
         GridConfig(**kwargs)
 
 
+@pytest.mark.parametrize("value", ["20", True, None, 10 ** 400],
+                         ids=["str", "bool", "None", "huge-int"])
+def test_grid_config_reads_its_width_as_a_strict_number(value):
+    # a bool, a string or an out-of-range integer is no width; each is
+    # refused as a config error before any arithmetic sees it
+    with pytest.raises(InvalidConfig, match=r"grid\.half_width_in_zeta"):
+        GridConfig(half_width_in_zeta=value)
+    assert type(GridConfig(half_width_in_zeta=20).half_width_in_zeta) is float
+
+
 def test_grid_config_boundary_values_are_accepted():
     g = GridConfig(half_width_in_zeta=8.0, n_points=51)
     assert g.n_points == 51
@@ -419,7 +429,8 @@ def test_dgbsv_is_scipys_own_routine():
 def test_scipy_linalg_binds_flapack_in_either_import_order(direct_first):
     # the direct load leaves scipy's package state as its own import does:
     # scipy.linalg._flapack is the package attribute and the sys.modules
-    # entry, and the package route hands out the same dgbsv
+    # entry, and the package route hands out the same dgbsv; no thermocap
+    # finder is left on sys.meta_path
     load = "gbsv = equilibrium._dgbsv()"
     script = f"""
 import sys
@@ -431,7 +442,7 @@ import scipy.linalg
 flapack = getattr(scipy.linalg, "_flapack", None)
 print(flapack is not None, flapack is sys.modules["scipy.linalg._flapack"],
       scipy.linalg.get_lapack_funcs(("gbsv",), dtype=np.float64)[0] is gbsv,
-      any(f is equilibrium._BindFlapack for f in sys.meta_path))
+      any(getattr(f, "__module__", "").startswith("thermocap") for f in sys.meta_path))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -549,7 +560,7 @@ def test_full_solution_matches_independent_collocation_solver():
 def test_stress_is_minus_pressure_at_uniform_bulk():
     liquid, _ = bulk_states(P0, BC)
     zero = np.zeros(3)
-    sig = stress_tensor(P0, liquid, zero, zero, 0.0, 0.0)
+    sig = stress_tensor(P0, liquid.rho, liquid.s, zero, zero, 0.0, 0.0)
     np.testing.assert_allclose(
         sig, -pressure(P0, liquid.rho, liquid.s) * np.eye(3), rtol=1e-14)
 
@@ -560,11 +571,48 @@ def test_stress_tensor_is_symmetric_for_generic_gradients():
     for _ in range(20):
         grad_rho = rng.normal(size=3)
         grad_s = rng.normal(size=3)
-        sig = stress_tensor(P0, liquid, grad_rho, grad_s,
+        sig = stress_tensor(P0, liquid.rho, liquid.s, grad_rho, grad_s,
                             rng.normal(), rng.normal())
         np.testing.assert_allclose(sig, sig.T, rtol=0, atol=1e-12)
-    with pytest.raises(ValueError, match="3-vector"):
-        stress_tensor(P0, liquid, np.zeros(2), np.zeros(3), 0.0, 0.0)
+    with pytest.raises(ValueError, match="space axis"):
+        stress_tensor(P0, liquid.rho, liquid.s, np.zeros(2), np.zeros(3), 0.0, 0.0)
+
+
+def test_stress_tensor_stack_equals_the_per_point_calls():
+    # a (4, 5, 6) stack of random states and 3-d gradients gives every
+    # point the bits its own call gives
+    rng = np.random.default_rng(17)
+    shape = (4, 5, 6)
+    rho = rng.uniform(0.5, 1.5, shape)
+    s = 0.01 * rng.normal(size=shape)
+    grad_rho, grad_s = rng.normal(size=(2,) + shape + (3,))
+    lap_rho, lap_s = rng.normal(size=(2,) + shape)
+    stack = stress_tensor(P0, rho, s, grad_rho, grad_s, lap_rho, lap_s)
+    assert stack.shape == shape + (3, 3)
+    for k in np.ndindex(shape):
+        one = stress_tensor(P0, float(rho[k]), float(s[k]), grad_rho[k], grad_s[k],
+                            float(lap_rho[k]), float(lap_s[k]))
+        assert np.array_equal(stack[k], one)
+
+
+def test_normal_stress_keeps_the_bits_of_the_one_component_formula():
+    # stress_yy_profile reads sigma_yy off stress_tensor with one space
+    # axis; on a solved profile it equals, bit for bit, the yy component
+    # written out by hand
+    prof, _ = solve_full_bvp(P0, BC)
+    h = prof.h
+    drho = derivative_4th(prof.rho, h)[2:-2]
+    ds = derivative_4th(prof.s, h)[2:-2]
+    rho, s = prof.rho[2:-2], prof.s[2:-2]
+    phi_y = P0.C * drho + P0.D * ds
+    psi_y = P0.D * drho + P0.E * ds
+    p_total = pressure(P0, rho, s) - 0.5 * (drho * phi_y + ds * psi_y)
+    div_phi = (P0.C * second_derivative_4th(prof.rho, h)
+               + P0.D * second_derivative_4th(prof.s, h))
+    expected = -(p_total - rho * div_phi) - phi_y * drho - psi_y * ds
+    y, sigma_yy = stress_yy_profile(P0, prof)
+    assert np.array_equal(y, prof.y[2:-2])
+    assert np.array_equal(sigma_yy, expected)
 
 
 def test_normal_stress_is_constant_and_equals_bulk_traction():

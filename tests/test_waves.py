@@ -25,7 +25,12 @@ from thermocap import (
 )
 from thermocap import GridConfig
 from thermocap.checks import run_checks
-from thermocap.waves import celerity_roots, dividing_surface_density_gradient, jump_matrices
+from thermocap.waves import (
+    celerity_closed,
+    celerity_roots,
+    dividing_surface_density_gradient,
+    jump_matrices,
+)
 from thermocap.errors import InvalidConfig, ModelError
 
 P0 = FluidParams()
@@ -55,6 +60,18 @@ def test_wave_locus_validation():
         WaveLocus(rho=1.0, grad_s_normal=0.0, grad_s_tg_sq=-1e-9)
     loc = WaveLocus(rho=1.0, grad_s_normal=0.0, grad_s_tg_sq=0.0)
     assert loc.to_dict() == {"rho": 1.0, "grad_s_normal": 0.0, "grad_s_tg_sq": 0.0}
+
+
+@pytest.mark.parametrize("field", ["rho", "grad_s_normal", "grad_s_tg_sq"])
+@pytest.mark.parametrize("value", ["1.2", True, None, 10 ** 400],
+                         ids=["str", "bool", "None", "huge-int"])
+def test_wave_locus_reads_its_entries_as_strict_numbers(field, value):
+    # numpy would parse "1.2" into the float 1.2 inside the shared guard,
+    # so the strings are refused before it
+    entries = {"rho": 1.0, "grad_s_normal": 0.0, "grad_s_tg_sq": 1e-9, field: value}
+    with pytest.raises(InvalidConfig, match=rf"locus\.{field}"):
+        WaveLocus(**entries)
+    assert type(WaveLocus(rho=1, grad_s_normal=0, grad_s_tg_sq=0).rho) is float
 
 
 def test_celerity_result_rejects_negative_speed():
@@ -240,6 +257,33 @@ def test_batched_root_is_bitwise_the_per_locus_root(d):
     assert np.array_equal(v2[3, 4], celerity_roots(p, rho[64], a[0], g2[64])[0])
 
 
+@pytest.mark.parametrize("d", [0.0, 0.3, 0.999, -0.7])
+def test_batched_closed_form_is_bitwise_the_per_locus_closed_form(d):
+    # celerity_general is the one-locus case of celerity_closed, and both
+    # keep the bits of the scalar formula they replace
+    p = FluidParams(D=d)
+    rng = np.random.default_rng(37)
+    n = 240
+    rho = rng.uniform(0.3, 2.0, n)
+    a = rng.uniform(-0.1, 0.1, n)
+    g2 = np.concatenate([[0.0], 10.0 ** rng.uniform(-14.0, 0.0, n - 1)])
+    v, lam = celerity_closed(p, rho, a, g2)
+    assert v.shape == (n,) and lam.shape == (n, 3)
+    for k in range(n):
+        locus = WaveLocus(rho=float(rho[k]), grad_s_normal=float(a[k]),
+                          grad_s_tg_sq=float(g2[k]))
+        single = celerity_general(p, locus)
+        assert v[k] == single.v
+        assert tuple(lam[k].tolist()) == single.lam
+        assert single.v == math.sqrt((p.C * p.E - p.D * p.D) * locus.grad_s_tg_sq
+                                     / (p.C * locus.rho))
+        assert single.lam == (-p.D / p.C, 1.0, -(locus.grad_s_normal / locus.rho)
+                              * (p.E - p.D * p.D / p.C))
+    v2, lam2 = celerity_closed(p, rho.reshape(12, 20), a[0], g2.reshape(12, 20))
+    assert v2.shape == (12, 20) and lam2.shape == (12, 20, 3)
+    assert np.array_equal(v2.ravel(), celerity_closed(p, rho, a[0], g2)[0])
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("g2", 0.0, "grad_s_tg_sq > 0"),
     ("g2", -1e-9, "grad_s_tg_sq > 0"),
@@ -251,12 +295,19 @@ def test_batched_root_is_bitwise_the_per_locus_root(d):
 def test_batched_root_names_the_first_bad_locus(field, value, message):
     loci = {"rho": np.full(9, 1.1), "a": np.zeros(9), "g2": np.full(9, 1e-9)}
     loci[field][[6, 8]] = value
-    with pytest.raises(InvalidConfig, match=rf"{message}.* \(locus 6\)$"):
-        celerity_roots(P0, **loci)
-    # the same locus alone keeps the single-locus message
-    with pytest.raises(InvalidConfig, match=message) as alone:
-        celerity_roots(P0, **{k: float(x[6]) for k, x in loci.items()})
-    assert "(locus" not in str(alone.value)
+    # both routes run one guard; the closed form accepts g2 = 0, and refuses
+    # g2 < 0 with its own bound
+    routes = [(celerity_roots, message)]
+    if (field, value) != ("g2", 0.0):
+        routes.append((celerity_closed,
+                       "tangential gradient must be >= 0" if field == "g2" else message))
+    for route, route_message in routes:
+        with pytest.raises(InvalidConfig, match=rf"{route_message}.* \(locus 6\)$"):
+            route(P0, **loci)
+        # the same locus alone keeps the single-locus message
+        with pytest.raises(InvalidConfig, match=route_message) as alone:
+            route(P0, **{k: float(x[6]) for k, x in loci.items()})
+        assert "(locus" not in str(alone.value)
 
 
 def test_batched_root_names_the_locus_where_a_guard_fails():
