@@ -79,11 +79,10 @@ class FluidParams:
                 raise InvalidConfig(f"{name} must be finite, got {value!r}")
         if self.C <= 0.0:
             raise IndefiniteGradientForm(f"C must be > 0, got {self.C!r}")
-        if self.C * self.E - self.D * self.D <= 0.0:
+        det = self.C * self.E - self.D * self.D
+        if not det > 0.0:  # also where C*E and D^2 overflow and det is inf - inf = nan
             raise IndefiniteGradientForm(
-                f"gradient energy must be positive definite: "
-                f"C*E - D^2 = {self.C * self.E - self.D * self.D!r} <= 0"
-            )
+                f"gradient energy must be positive definite: C*E - D^2 = {det!r} is not > 0")
 
 
 def read_number(value, where: str) -> float:

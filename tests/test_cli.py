@@ -330,6 +330,8 @@ def test_json_output_is_normalized(tmp_path):
     {"sweep": {"tolerances": {"sigma": math.inf}}},
     {"sweep": {"tolerances": {"sigma": 0}}},
     {"sweep": {"tolerances": {"sigma": -1}}},
+    # C*E - D^2 overflows to inf - inf = nan: not positive definite either
+    {"params": {"C": 1e200, "D": 1e200, "E": 1e200}},
 ])
 def test_bad_configs_exit_2(tmp_path, config):
     proc, out = run_cli(tmp_path, "profile", config=config)

@@ -69,6 +69,14 @@ def test_gradient_form_must_be_positive_definite():
         FluidParams(D=1.5)
 
 
+def test_gradient_form_whose_determinant_overflows_is_refused():
+    # C*E - D^2 is inf - inf = nan here, which no "<= 0" test catches
+    with pytest.raises(IndefiniteGradientForm, match="nan is not > 0"):
+        FluidParams(C=1e200, D=1e200, E=1e200)
+    # a determinant of +inf is still positive
+    assert FluidParams(C=1e200, D=0.0, E=1e200).E == 1e200
+
+
 def test_validate_params_rejects_unknown_keys():
     with pytest.raises(InvalidConfig, match="unknown parameter"):
         validate_params({"A": 1.0, "rho_crit": 1.0})

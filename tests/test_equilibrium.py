@@ -47,8 +47,15 @@ from thermocap.equilibrium import (
     _coupled_jacobian_banded,
     _coupled_residual,
     _neighbour_band,
+    _newton,
 )
-from thermocap.errors import CriticalIsotherm, InvalidConfig, NewtonDiverged, UndecayedTail
+from thermocap.errors import (
+    CriticalIsotherm,
+    InvalidConfig,
+    MaxIterations,
+    NewtonDiverged,
+    UndecayedTail,
+)
 
 P0 = FluidParams()
 BC = bulk_conditions(P0, delta_t=0.01)
@@ -342,6 +349,87 @@ def test_too_short_box_raises_undecayed_tail_with_report():
     assert f"c = {report.phase_force:.3e}" in str(info.value)
 
 
+@pytest.mark.parametrize("n", [8001, 16001])
+@pytest.mark.parametrize("dt", [1e-1, 1e-2, 1e-3])
+def test_fine_grid_is_seeded_by_a_coarse_presolve(n, dt):
+    # from 8 * 1000 + 1 nodes on, a 1001-node solve over the same box
+    # removes the closed seed's O(delta_t) model error, so the fine loop
+    # needs one step, and lands on the closed-seeded solution
+    bc = bulk_conditions(P0, delta_t=dt)
+    grid = GridConfig(n_points=n)
+    prof, report = solve_full_bvp(P0, bc, grid)
+    assert report.converged and report.iterations == 1
+    assert report.seed_points == 1001 and report.seed_iterations >= 1
+    assert report.to_dict()["seed_points"] == 1001
+    assert prof.rho[prof.mid_index] == P0.rho_c
+    rho, s, _, closed_seeded = _newton(P0, bc, closed_profile(P0, bc, grid))
+    assert closed_seeded.iterations > 1 and closed_seeded.seed_points == 0
+    assert np.max(np.abs(prof.rho - rho)) <= 1e-10
+    assert np.max(np.abs(prof.s - s)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [51, 1001, 4001, 7999])
+def test_coarser_grids_keep_the_closed_seed_bit_for_bit(n):
+    # below 8 * 1000 + 1 nodes the solve is one closed-seeded loop
+    bc = bulk_conditions(P0, delta_t=0.1)
+    grid = GridConfig(n_points=n)
+    prof, report = solve_full_bvp(P0, bc, grid)
+    rho, s, f, loop = _newton(P0, bc, closed_profile(P0, bc, grid))
+    assert report.seed_points == report.seed_iterations == 0
+    assert np.array_equal(prof.rho, rho) and np.array_equal(prof.s, s)
+    assert report.residual_norm == float(np.max(np.abs(f)))
+    assert (report.iterations, report.damping_history, report.residual_history,
+            report.phase_force) == (loop.iterations, loop.damping_history,
+                                    loop.residual_history, loop.phase_force)
+
+
+def test_fine_grid_still_refuses_a_box_too_short_for_the_tails():
+    # only the fine solution is judged: the pre-solve's truncated profile
+    # seeds it, and the fine residual still exposes the pinning force, the
+    # one the closed-seeded loop finds
+    bc = bulk_conditions(P0, delta_t=0.3)
+    grid = GridConfig(n_points=16001)
+    with pytest.raises(UndecayedTail, match="half_width_in_zeta = 15") as info:
+        solve_full_bvp(P0, bc, grid)
+    report = info.value.report
+    assert not report.converged and report.seed_points == 1001
+    assert report.residual_history[-1] <= report.tolerance < report.residual_norm
+    _, _, _, closed_seeded = _newton(P0, bc, closed_profile(P0, bc, grid))
+    assert report.phase_force == pytest.approx(closed_seeded.phase_force, rel=1e-6)
+
+
+@pytest.mark.parametrize("error", [NewtonDiverged, MaxIterations])
+def test_presolve_failure_keeps_its_class_and_names_the_presolve(monkeypatch, error):
+    def failing(p, bc, closed, *args):
+        assert closed.y.size == 1001
+        raise error("no convergence", NewtonReport(0, 1.0, False, (), 1e-10))
+
+    monkeypatch.setattr(equilibrium, "_newton", failing)
+    bc = bulk_conditions(P0, delta_t=0.1)
+    with pytest.raises(error, match="^1001-node pre-solve: no convergence") as info:
+        solve_full_bvp(P0, bc, GridConfig(n_points=16001))
+    assert info.value.report.iterations == 0
+
+
+def test_presolve_divergence_exits_3_from_the_cli(monkeypatch, capsys, tmp_path):
+    # a singular system on the 1001-node grid only: the pre-solve fails
+    real_gbsv = equilibrium._dgbsv()
+
+    def singular_on_coarse(kl, ku, ab, b, overwrite_ab=False, overwrite_b=False):
+        if b.shape[0] == 2 * 999:
+            return ab, np.zeros(b.shape[0], dtype=np.int32), b, 5
+        return real_gbsv(kl, ku, ab, b, overwrite_ab=overwrite_ab, overwrite_b=overwrite_b)
+
+    monkeypatch.setattr(equilibrium, "_dgbsv", lambda: singular_on_coarse)
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"grid": {"n_points": 16001}}')
+    out = tmp_path / "out"
+    assert cli.main(["profile", "--full", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "NewtonDiverged: 1001-node pre-solve: singular Jacobian" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize("p, dt, grid, sigma_quad", [
     # sigma_quad of the solves that converged before the bordering, frozen
     (P0, 0.3, GridConfig(half_width_in_zeta=60.0, n_points=4001), 0.14145169564049084),
@@ -490,7 +578,8 @@ def test_newton_steps_match_solve_banded_bit_for_bit(monkeypatch, n, dt):
     monkeypatch.setattr(equilibrium, "_dgbsv", lambda: checked_gbsv)
     bc = bulk_conditions(P0, delta_t=dt)
     _, report = solve_full_bvp(P0, bc, GridConfig(n_points=n))
-    assert report.converged and len(calls) == report.iterations >= 1
+    assert report.converged and report.iterations >= 1
+    assert len(calls) == report.iterations + report.seed_iterations
 
 
 def test_singular_newton_system_raises_with_report(monkeypatch, capsys, tmp_path):
