@@ -10,10 +10,11 @@ artifact, floats are written with 17 significant digits, and files are
 written to a temp name and atomically renamed so failures leave no partial
 artifacts.
 
-Exit codes: 0 success; 2 configuration or validation error; 3 numerical
-failure (divergence, unreachable root, undecayed tails, critical isotherm,
-float overflow, a grid too large to allocate); 4 verification failure (a
-scaling law or invariant check did not pass).
+Exit codes: 0 success; 2 configuration or validation error (a grid of
+more than 1000001 nodes among them); 3 numerical failure (divergence,
+unreachable root, undecayed tails, critical isotherm, float overflow, an
+allocation the machine cannot hold); 4 verification failure (a scaling law
+or invariant check did not pass).
 """
 
 from __future__ import annotations
@@ -378,7 +379,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_NUMERICAL
     except (ArithmeticError, MemoryError) as exc:
         # a closed form overflowing at extreme constants (a float ** raises
-        # where * would return inf), or a grid too large to allocate
+        # where * would return inf), or a grid the machine cannot allocate
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -84,6 +84,10 @@ __all__ = [
 ]
 
 
+# the largest grid: a full solve peaks near 600 B per node, about 600 MB here
+_MAX_POINTS = 1_000_001
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """Uniform grid on [-L, L] with L expressed in interface widths."""
@@ -95,6 +99,9 @@ class GridConfig:
         read_fields(self, "grid", ["half_width_in_zeta"])
         if not isinstance(self.n_points, int) or self.n_points < 51 or self.n_points % 2 == 0:
             raise InvalidConfig(f"n_points must be an odd integer >= 51, got {self.n_points!r}")
+        if self.n_points > _MAX_POINTS:
+            raise InvalidConfig(f"n_points must be <= {_MAX_POINTS} (a full solve "
+                                "needs about 600 B per node)")
         if not (math.isfinite(self.half_width_in_zeta) and self.half_width_in_zeta >= 8.0):
             raise InvalidConfig(
                 f"half_width_in_zeta must be >= 8, got {self.half_width_in_zeta!r}"

@@ -51,24 +51,21 @@ __all__ = [
     "report_to_csv",
 ]
 
-# target log-log slopes in delta_t for each measured column
-EXPONENT_TARGETS: Mapping[str, float] = {
-    "amp_rho": 0.5,
-    "amp_s": 1.0,
-    "zeta": -0.5,
-    "sigma": 1.5,
-    "v": 2.0,
-    "deviation": 1.0,
+# each law's SweepRow column, target log-log slope in delta_t, and default
+# slope tolerance in a closed sweep and in a full-solver sweep.  A closed
+# sweep has no deviation law (None): its deviation is identically zero.  v
+# keeps its closed tolerance in a full sweep: celerity is evaluated from the
+# undercooling alone, so it stays a closed-form column there.
+_LAWS: Mapping[str, tuple[str, float, Optional[float], float]] = {
+    "amp_rho": ("amp_rho", 0.5, 0.02, 0.1),
+    "amp_s": ("amp_s", 1.0, 0.02, 0.1),
+    "zeta": ("zeta_measured", -0.5, 0.02, 0.1),
+    "sigma": ("sigma_quad", 1.5, 0.02, 0.1),
+    "v": ("v", 2.0, 0.02, 0.02),
+    "deviation": ("full_vs_reduced_deviation", 1.0, None, 0.1),
 }
 
-_LAW_COLUMNS = {
-    "amp_rho": "amp_rho",
-    "amp_s": "amp_s",
-    "zeta": "zeta_measured",
-    "sigma": "sigma_quad",
-    "v": "v",
-    "deviation": "full_vs_reduced_deviation",
-}
+EXPONENT_TARGETS: Mapping[str, float] = {law: target for law, (_, target, _, _) in _LAWS.items()}
 
 
 @dataclass(frozen=True)
@@ -253,17 +250,11 @@ def tanh_deviation(p: FluidParams, prof: Profile) -> float:
     return float(np.max(np.abs(prof.rho - reference))) / p.rho_c
 
 
-def _laws(use_full_solver: bool) -> tuple[str, ...]:
-    # the deviation law only exists in full-solver mode: the closed mode's
-    # deviation is identically zero
-    return tuple(law for law in EXPONENT_TARGETS if use_full_solver or law != "deviation")
-
-
-def _tolerance_for(law: str, cfg: SweepConfig) -> float:
-    # celerity is evaluated from the undercooling alone, so it stays a
-    # closed-form column even inside a full-solver sweep
-    default = 0.1 if cfg.use_full_solver and law != "v" else 0.02
-    return cfg.tolerances.get(law, default)
+def _laws(use_full_solver: bool) -> dict[str, tuple[str, float, float]]:
+    """Each law of the mode: its SweepRow column, target and default tolerance."""
+    laws = {law: (column, target, full if use_full_solver else closed)
+            for law, (column, target, closed, full) in _LAWS.items()}
+    return {law: entry for law, entry in laws.items() if entry[2] is not None}
 
 
 def _solve_row(p: FluidParams, cfg: SweepConfig, delta_t: float) -> SweepRow:
@@ -301,7 +292,7 @@ def run_sweep(p: FluidParams, cfg: SweepConfig) -> ScalingReport:
     good = [r for r in rows if r.error is None]
 
     fits: dict[str, ExponentFit] = {}
-    for law in _laws(cfg.use_full_solver):
+    for law, (column, target, default) in _laws(cfg.use_full_solver).items():
         use = good
         if law == "deviation":
             # the deviation law is the leading term of an expansion in the
@@ -311,7 +302,7 @@ def run_sweep(p: FluidParams, cfg: SweepConfig) -> ScalingReport:
                       if math.sqrt(p.A * r.delta_t / p.B) <= 0.2 * p.rho_c]
             if len(window) >= 2 and window[0].delta_t / window[-1].delta_t >= 10.0:
                 use = window
-        pts = [(r.delta_t, getattr(r, _LAW_COLUMNS[law])) for r in use]
+        pts = [(r.delta_t, getattr(r, column)) for r in use]
         pts = [(x, y) for x, y in pts if math.isfinite(y)]
         try:
             slope, intercept, resid = fit_exponent(pts)
@@ -321,8 +312,8 @@ def run_sweep(p: FluidParams, cfg: SweepConfig) -> ScalingReport:
             slope=slope,
             intercept=intercept,
             max_residual=resid,
-            target=EXPONENT_TARGETS[law],
-            tolerance=_tolerance_for(law, cfg),
+            target=target,
+            tolerance=cfg.tolerances.get(law, default),
         )
     return ScalingReport(rows=tuple(rows), fits=fits, use_full_solver=cfg.use_full_solver)
 

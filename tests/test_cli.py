@@ -332,6 +332,8 @@ def test_json_output_is_normalized(tmp_path):
     {"sweep": {"tolerances": {"sigma": -1}}},
     # C*E - D^2 overflows to inf - inf = nan: not positive definite either
     {"params": {"C": 1e200, "D": 1e200, "E": 1e200}},
+    # a grid above the node cap is refused before anything is allocated
+    {"grid": {"n_points": 10 ** 15 + 1}},
 ])
 def test_bad_configs_exit_2(tmp_path, config):
     proc, out = run_cli(tmp_path, "profile", config=config)
@@ -354,8 +356,8 @@ def _config_documents():
     def keyed(keys, values):
         return st.dictionaries(st.sampled_from([*keys, "bogus"]), values, max_size=3) | json_values
 
-    # n_points stays small or absurd: a grid of 10^8 nodes would be a real
-    # allocation, one of 10^15 fails at once
+    # n_points stays small or above the node cap: a grid of 10^6 nodes
+    # would be a real solve, one of 10^15 is refused before any allocation
     n_points = (st.integers(-3, 4001) | st.floats(0.0, 4001.0)
                 | st.sampled_from([True, "1001", 10 ** 15 + 1]))
     return st.fixed_dictionaries({}, optional={
@@ -451,7 +453,6 @@ def test_critical_isotherm_profile_exits_3(tmp_path):
     ({"params": {"rho_c": 1125899906842625.0}}, "does not separate the bulk densities"),
     # A^2 overflows in the slaved entropy
     ({"params": {"A": 1.3407807929942597e154, "B": 1.34078079299426e152}}, "OverflowError"),
-    ({"grid": {"n_points": 10 ** 15 + 1}}, "MemoryError"),
 ])
 def test_unanswerable_profiles_exit_3(tmp_path, capsys, config, message):
     # each of these used to escape the CLI as an uncaught exception
@@ -462,6 +463,20 @@ def test_unanswerable_profiles_exit_3(tmp_path, capsys, config, message):
     out = tmp_path / "out"
     assert cli.main(["profile", "--config", str(cfg), "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_allocation_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a grid under the node cap can still exceed the machine's memory
+    from thermocap import cli, equilibrium
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate the grid")
+
+    monkeypatch.setattr(equilibrium, "closed_profile", no_memory)
+    out = tmp_path / "out"
+    assert cli.main(["profile", "--out", str(out)]) == 3
+    assert "numerical failure: MemoryError: cannot allocate the grid" in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())
 
 

@@ -336,6 +336,28 @@ def test_bordered_newton_pins_the_front_at_the_large_undercooling():
     assert report.to_dict()["phase_force"] == report.phase_force
 
 
+def test_line_search_rescues_a_strongly_coupled_solve():
+    # a negative density-entropy coupling far from the critical point: full
+    # Newton steps overshoot, and only halved steps reach the tolerance
+    p = FluidParams(D=-0.5, E=0.3)
+    bc = bulk_conditions(p, delta_t=0.5)
+    _, report = solve_full_bvp(p, bc, GridConfig(half_width_in_zeta=40.0, n_points=1001))
+    assert report.converged and report.residual_norm <= report.tolerance
+    assert sum(report.damping_history) > 0
+
+
+def test_line_search_refuses_a_stalled_solve_with_report():
+    # on a coarse grid the residual cannot fall by any halving of the step:
+    # the solve stops at the halving budget instead of taking an uphill step
+    p = FluidParams(D=-0.3, E=0.3)
+    bc = bulk_conditions(p, delta_t=0.9)
+    with pytest.raises(NewtonDiverged, match="after 20 step halvings") as info:
+        solve_full_bvp(p, bc, GridConfig(half_width_in_zeta=40.0, n_points=51))
+    report = info.value.report
+    assert report is not None and not report.converged
+    assert report.damping_history[-1] == 20
+
+
 def test_too_short_box_raises_undecayed_tail_with_report():
     # delta_t = 0.3 decays too slowly for 15 widths: the bordered system
     # converges, but only by a pinning force that leaves the equations
