@@ -11,10 +11,10 @@ written to a temp name and atomically renamed so failures leave no partial
 artifacts.
 
 Exit codes: 0 success; 2 configuration or validation error (a grid of
-more than 1000001 nodes among them); 3 numerical failure (divergence,
-unreachable root, undecayed tails, critical isotherm, float overflow, an
-allocation the machine cannot hold); 4 verification failure (a scaling law
-or invariant check did not pass).
+more than 1000001 nodes and an artifact path that cannot be written among
+them); 3 numerical failure (divergence, unreachable root, undecayed tails,
+critical isotherm, float overflow, an allocation the machine cannot hold);
+4 verification failure (a scaling law or invariant check did not pass).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import equilibrium, scaling, waves
 from .checks import run_checks
-from .eos import BulkConditions, FluidParams, bulk_conditions, validate_params
+from .eos import BulkConditions, FluidParams, bulk_conditions, check_keys, validate_params
 from .equilibrium import GridConfig
 from .errors import InvalidConfig, ModelError
 from .scaling import SweepConfig
@@ -99,9 +99,11 @@ def _write_atomic(path: str, text: str) -> None:
         with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError):  # e.g. a directory sits at the artifact's path
+            raise InvalidConfig(f"cannot write {path!r}: {exc.strerror or exc}") from None
         raise
 
 
@@ -133,12 +135,6 @@ class RunConfig:
     locus: Optional[waves.WaveLocus]
 
 
-def _check_keys(raw: Mapping, allowed: set, where: str) -> None:
-    unknown = set(raw) - allowed
-    if unknown:
-        raise InvalidConfig(f"unknown {where} keys: {sorted(unknown)}")
-
-
 def _require_mapping(value, where: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise InvalidConfig(f"{where} must be a JSON object")
@@ -158,8 +154,7 @@ def _parse_locus(tokens: Optional[Sequence[str]]) -> Optional[waves.WaveLocus]:
             seen[key] = float(val)
         except ValueError:
             raise InvalidConfig(f"--locus value not a number: {tok!r}") from None
-    if set(seen) != set(_LOCUS_KEYS):
-        raise InvalidConfig(f"--locus needs all of {_LOCUS_KEYS}")
+    # three tokens, none repeated or unknown: every key is present
     return waves.WaveLocus(rho=seen["rho"], grad_s_normal=seen["a"],
                            grad_s_tg_sq=seen["g2"])
 
@@ -170,7 +165,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         raw = _require_mapping(raw, "config")
-    _check_keys(raw, _TOP_KEYS, "config")
+    check_keys(raw, _TOP_KEYS, "config")
 
     params_raw = _require_mapping(raw.get("params", {}), "params")
     p = validate_params(params_raw)
@@ -183,11 +178,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         bc = bulk_conditions(p, delta_t=raw.get("delta_T", 0.01))
 
     grid_raw = _require_mapping(raw.get("grid", {}), "grid")
-    _check_keys(grid_raw, _GRID_KEYS, "grid")
+    check_keys(grid_raw, _GRID_KEYS, "grid")
     grid = GridConfig(**grid_raw)
 
     sweep_raw = _require_mapping(raw.get("sweep", {}), "sweep")
-    _check_keys(sweep_raw, _SWEEP_KEYS, "sweep")
+    check_keys(sweep_raw, _SWEEP_KEYS, "sweep")
     sweep = SweepConfig(grid=grid, **sweep_raw)
     full = getattr(args, "full", False)  # only profile and sweep take --full
     if full:

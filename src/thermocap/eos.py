@@ -39,6 +39,7 @@ __all__ = [
     "BulkConditions",
     "read_number",
     "read_fields",
+    "check_keys",
     "validate_params",
     "bulk_conditions",
     "bulk_energy",
@@ -100,6 +101,13 @@ def read_number(value, where: str) -> float:
         raise InvalidConfig(f"{where} is out of range: {value!r}") from None
 
 
+def check_keys(raw: Mapping, allowed, where: str) -> None:
+    """Refuse a mapping with keys outside allowed, naming them and where."""
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise InvalidConfig(f"unknown {where} keys: {sorted(unknown, key=str)}")
+
+
 def read_fields(obj, where: str, names=None) -> None:
     """Pass the named fields of a frozen dataclass (all by default) through read_number.
 
@@ -117,9 +125,7 @@ def validate_params(raw: Mapping[str, float]) -> FluidParams:
     checking exists so a typo in a physics constant fails loudly instead of
     silently running with a default.
     """
-    unknown = sorted(set(raw) - {f.name for f in fields(FluidParams)})
-    if unknown:
-        raise InvalidConfig(f"unknown parameter key(s): {', '.join(unknown)}")
+    check_keys(raw, [f.name for f in fields(FluidParams)], "parameter")
     return FluidParams(**raw)
 
 
@@ -170,6 +176,8 @@ def bulk_conditions(p: FluidParams, *, delta_t: float | None = None,
         T0 = read_number(T0, "T0")
         return BulkConditions(T0=T0, delta_t=p.T_c - T0)
     delta_t = read_number(delta_t, "delta_t")
+    if not math.isfinite(delta_t):  # else the derived T0 would take the blame
+        raise InvalidConfig(f"delta_t must be finite, got {delta_t!r}")
     return BulkConditions(T0=p.T_c - delta_t, delta_t=delta_t)
 
 

@@ -10,13 +10,11 @@ two bulk densities.  The full route discretizes the coupled system
 
 on [-L, L] with Dirichlet data from the exact bulk states and solves it by
 Newton iteration with an analytic block-tridiagonal Jacobian, bordered so
-the front stays at y = 0 (see solve_full_bvp).  Fine grids (8001 nodes and
-up) are seeded from a 1001-node solve over the same box, so their Newton
-loop starts past the closed seed's O(delta_t) model error; the report
-records that pre-solve in seed_points and seed_iterations.  The solver
-uses plain 2nd-order central differences (keeps the Jacobian banded); all
-diagnostics use 4th-order stencils so discretization error of the
-diagnostic never masks the quantity being diagnosed.
+the front stays at y = 0; solve_full_bvp says how a solve is seeded and
+_newton how it is judged.  The solver uses plain 2nd-order central
+differences (keeps the Jacobian banded); all diagnostics use 4th-order
+stencils so discretization error of the diagnostic never masks the
+quantity being diagnosed.
 
 Each Newton step is one direct LAPACK dgbsv call on a Fortran-ordered band
 buffer that the Jacobian is assembled into, so the binding hands LAPACK the
@@ -250,18 +248,12 @@ def interface_width(p: FluidParams, bc: BulkConditions) -> float:
     return math.sqrt(p.C / (2.0 * p.A * bc.delta_t))
 
 
-def _grid_arrays(p: FluidParams, bc: BulkConditions, g: GridConfig) -> tuple[np.ndarray, float]:
-    zeta = interface_width(p, bc)
-    half_width = g.half_width_in_zeta * zeta
-    h = 2.0 * half_width / (g.n_points - 1)
-    # build y as exact integer multiples of h so the midpoint is exactly 0
-    y = h * (np.arange(g.n_points, dtype=float) - (g.n_points - 1) // 2)
-    return y, zeta
-
-
 def closed_profile(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfig()) -> Profile:
     """Tanh density front with slaved entropy on the requested grid."""
-    y, zeta = _grid_arrays(p, bc, g)
+    zeta = interface_width(p, bc)
+    h = 2.0 * g.half_width_in_zeta * zeta / (g.n_points - 1)
+    # build y as exact integer multiples of h so the midpoint is exactly 0
+    y = h * (np.arange(g.n_points, dtype=float) - (g.n_points - 1) // 2)
     liquid, vapor = bulk_states(p, bc)
     amp = 0.5 * (liquid.rho - vapor.rho)
     rho = p.rho_c + amp * np.tanh(y / (2.0 * zeta))
@@ -400,6 +392,20 @@ def _dgbsv():
     return flapack.dgbsv
 
 
+def _place_block(ab: np.ndarray, d: int, block) -> None:
+    """Write a 2x2 block diagonal at block offset d into the gbsv band ab.
+
+    Unknowns interleave as (rho_1, s_1, rho_2, s_2, ...), so the block of
+    node k at offset d holds J[2k + r, 2(k + d) + c] = block[r][c], which
+    gbsv stores at ab[_KU + r - c - 2d, 2(k + d) + c].  Entries may be
+    scalars or arrays over the nodes that have a neighbour at offset d.
+    """
+    q = ab.shape[1] // 2
+    for r in range(2):
+        for c in range(2):
+            ab[_KU + r - c - 2 * d, 2 * max(d, 0) + c:2 * q + 2 * min(d, 0):2] = block[r][c]
+
+
 def _neighbour_band(p: FluidParams, q: int, h: float) -> np.ndarray:
     """The Jacobian's constant part in LAPACK gbsv storage.
 
@@ -410,15 +416,8 @@ def _neighbour_band(p: FluidParams, q: int, h: float) -> np.ndarray:
     """
     c2 = 1.0 / (h * h)
     buf = np.zeros((2 * _KL + _KU + 1, 2 * q), order="F")
-    ab = buf[_KL:]
-    ab[1, 2::2] = p.C * c2                          # J[2k, 2k+2]
-    ab[1, 3::2] = p.E * c2                          # J[2k+1, 2k+3]
-    ab[5, 0:2 * q - 2:2] = p.C * c2                 # J[2k, 2k-2]
-    ab[5, 1:2 * q - 2:2] = p.E * c2                 # J[2k+1, 2k-1]
-    ab[0, 3::2] = p.D * c2                          # J[2k, 2k+3]
-    ab[2, 2::2] = p.D * c2                          # J[2k+1, 2k+2]
-    ab[4, 1:2 * q - 2:2] = p.D * c2                 # J[2k, 2k-1]
-    ab[6, 0:2 * q - 2:2] = p.D * c2                 # J[2k+1, 2k-2]
+    for d in (-1, 1):
+        _place_block(buf[_KL:], d, [[p.C * c2, p.D * c2], [p.D * c2, p.E * c2]])
     return buf
 
 
@@ -427,23 +426,18 @@ def _coupled_jacobian_banded(p: FluidParams, bc: BulkConditions, rho: np.ndarray
                              out: np.ndarray) -> np.ndarray:
     """Banded (l = u = 3) Jacobian of _coupled_residual, LAPACK layout.
 
-    Unknowns interleave as (rho_1, s_1, rho_2, s_2, ...); each grid node
-    contributes a symmetric 2x2 block, so the matrix is block-tridiagonal.
-    The return value is the band view out[3:] of a gbsv buffer (see
-    _neighbour_band), with ab[3 + i - j, j] = J[i, j].  neighbours is the
-    per-solve template from _neighbour_band, and out a buffer of its shape
-    and order, which is overwritten.
+    Each grid node contributes a symmetric 2x2 block, so the matrix is
+    block-tridiagonal.  The return value is the band view out[3:] of a gbsv
+    buffer (see _neighbour_band), with ab[3 + i - j, j] = J[i, j].
+    neighbours is the per-solve template from _neighbour_band, and out a
+    buffer of its shape and order, which is overwritten.
     """
     np.copyto(out, neighbours)
     c2 = 1.0 / (h * h)
     h_rr, h_rs, h_ss = bulk_energy_hessian(p, rho[1:-1], s[1:-1])
-    cross = h_rs - bc.T0  # d(rhs_1)/ds == d(rhs_2)/drho
+    cross = -2.0 * p.D * c2 - (h_rs - bc.T0)  # d(F_1)/ds == d(F_2)/drho
     ab = out[_KL:]
-    # diagonal blocks
-    ab[3, 0::2] = -2.0 * p.C * c2 - h_rr
-    ab[3, 1::2] = -2.0 * p.E * c2 - h_ss
-    ab[2, 1::2] = -2.0 * p.D * c2 - cross           # J[2k, 2k+1]
-    ab[4, 0::2] = -2.0 * p.D * c2 - cross           # J[2k+1, 2k]
+    _place_block(ab, 0, [[-2.0 * p.C * c2 - h_rr, cross], [cross, -2.0 * p.E * c2 - h_ss]])
     return ab
 
 
@@ -463,51 +457,53 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions,
     names the pre-solve; the report's seed_points (0 for the closed seed)
     and seed_iterations record it.
 
-    Only the requested grid's solution is judged.  The report's residual is
-    the equations' own max|F|.  If that exceeds _TOL, holding the front took
-    a real force: the box truncates the tails, and UndecayedTail is raised
-    with the report instead of returning the truncated profile.
+    Only the requested grid's solve is judged, by its report's verdict (see
+    _newton).  A solve that is not converged held the front only by a real
+    force: the box truncates the tails, and UndecayedTail is raised with
+    the report instead of returning the truncated profile.  A solution that
+    leaves the bracket of the bulk densities raises NewtonDiverged.
     """
     closed = closed_profile(p, bc, g)
-    correction, seed_points, seed_iterations = None, 0, 0
+    rho, s, seed_points, seed_iterations = closed.rho, closed.s, 0, 0
     if g.n_points >= _SEED_FACTOR * (_SEED_POINTS - 1) + 1:
-        coarse_closed = closed_profile(
-            p, bc, GridConfig(half_width_in_zeta=g.half_width_in_zeta, n_points=_SEED_POINTS))
+        coarse = closed_profile(p, bc, replace(g, n_points=_SEED_POINTS))
         try:
-            rho, s, _, coarse = _newton(p, bc, coarse_closed)
+            coarse_rho, coarse_s, coarse_report = _newton(p, bc, coarse, coarse.rho, coarse.s)
         except (MaxIterations, NewtonDiverged) as exc:
             raise type(exc)(f"{_SEED_POINTS}-node pre-solve: {exc}", exc.report) from exc
         # interpolate the correction to the closed profile, not the profile
-        correction = (np.interp(closed.y, coarse_closed.y, rho - coarse_closed.rho),
-                      np.interp(closed.y, coarse_closed.y, s - coarse_closed.s))
-        seed_points, seed_iterations = _SEED_POINTS, coarse.iterations
-    rho, s, f, report = _newton(p, bc, closed, correction, seed_points, seed_iterations)
-    plain = float(np.max(np.abs(f)))
-    report = replace(report, residual_norm=plain, converged=plain <= _TOL)
+        rho = closed.rho + np.interp(closed.y, coarse.y, coarse_rho - coarse.rho)
+        s = closed.s + np.interp(closed.y, coarse.y, coarse_s - coarse.s)
+        seed_points, seed_iterations = _SEED_POINTS, coarse_report.iterations
+    rho, s, report = _newton(p, bc, closed, rho, s, seed_points, seed_iterations)
     if not report.converged:
         raise UndecayedTail(
             f"holding the front at y = 0 takes a force c = {report.phase_force:.3e}: the "
-            f"equations' residual is {plain:.3e} > {_TOL:.1e}, so the box of "
+            f"equations' residual is {report.residual_norm:.3e} > {_TOL:.1e}, so the box of "
             f"half_width_in_zeta = {g.half_width_in_zeta:g} truncates the tails; widen it",
             report)
     liquid, vapor = bulk_states(p, bc)
-    _check_density_bounds(rho, liquid.rho, vapor.rho)
+    slack = 1e-6 * (liquid.rho - vapor.rho)  # overshoot allowed, relative to the jump
+    if np.min(rho) < vapor.rho - slack or np.max(rho) > liquid.rho + slack:
+        raise NewtonDiverged(
+            "converged iterate leaves the physical density bracket "
+            f"[{vapor.rho:.6g}, {liquid.rho:.6g}]")
     return Profile(y=closed.y, rho=rho, s=s, bc=bc, provenance="full-solver"), report
 
 
-def _newton(p: FluidParams, bc: BulkConditions, closed: Profile,
-            correction: tuple[np.ndarray, np.ndarray] | None = None, seed_points: int = 0,
-            seed_iterations: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, NewtonReport]:
-    """Bordered Newton on closed's grid, down to max|G| <= _TOL.
+def _newton(p: FluidParams, bc: BulkConditions, closed: Profile, rho: np.ndarray,
+            s: np.ndarray, seed_points: int = 0,
+            seed_iterations: int = 0) -> tuple[np.ndarray, np.ndarray, NewtonReport]:
+    """Bordered Newton on closed's grid from the seed (rho, s).
 
-    The seed is the closed profile, plus correction (to rho and to s) when
-    given.  A wide box leaves the front nearly free to translate, so the
-    system is bordered (Beyn, IMA J. Numer. Anal. 10, 1990): a scalar c
-    joins the unknowns, the equations become G = F + c*psi with psi the
-    closed profile's translation mode, and the phase condition
-    rho(0) = rho_c, which the seed meets exactly, pins the front.  psi comes
-    from the closed profile whatever the seed, so the bordered problem, and
-    the force c that a truncating box needs, do not depend on the seed.
+    The seed is copied and its ends set to the bulk states.  A wide box
+    leaves the front nearly free to translate, so the system is bordered
+    (Beyn, IMA J. Numer. Anal. 10, 1990): a scalar c joins the unknowns,
+    the equations become G = F + c*psi with psi the closed profile's
+    translation mode, and the phase condition rho(0) = rho_c, which the
+    seed must meet, pins the front.  psi comes from the closed profile
+    whatever the seed, so the bordered problem, and the force c that a
+    truncating box needs, do not depend on the seed.
 
     Each step is one direct dgbsv on a Fortran band buffer (constant
     neighbour blocks laid out once per solve, Hessian entries added per
@@ -516,20 +512,19 @@ def _newton(p: FluidParams, bc: BulkConditions, closed: Profile,
     scipy's compiled one, loaded by _dgbsv without importing scipy.linalg.
     A step that does not lower max|G| is halved, up to _MAX_DAMPING times.
     A non-finite or singular system, a step the phase row cannot fix and a
-    failed line search raise NewtonDiverged with the report so far.
+    failed line search raise NewtonDiverged, and running out of _MAX_ITER
+    iterations MaxIterations, each with the report so far.
 
-    Returns rho, s, the equations' own residual F at the last iterate and a
-    converged report whose residual is max|G|; the caller judges F.  Every
-    report, those of the errors included, carries seed_points and
-    seed_iterations as given.
+    The loop stops at max|G| <= _TOL.  The verdict is the equations' own:
+    the returned report's residual_norm is max|F| at the last iterate and
+    it is converged when max|F| <= _TOL, which fails where c is a real
+    force.  Every report, those of the errors included, carries
+    seed_points and seed_iterations as given.
     """
     gbsv = _dgbsv()
     liquid, vapor = bulk_states(p, bc)
     h = closed.h
-    if correction is None:
-        rho, s = closed.rho.copy(), closed.s.copy()
-    else:
-        rho, s = closed.rho + correction[0], closed.s + correction[1]
+    rho, s = rho.copy(), s.copy()
     rho[0], rho[-1] = vapor.rho, liquid.rho
     s[0], s[-1] = vapor.s, liquid.s
     q = rho.size - 2
@@ -604,16 +599,8 @@ def _newton(p: FluidParams, bc: BulkConditions, closed: Profile,
         damping.append(cuts)
         history.append(rnorm)
         iterations += 1
-    return rho, s, f, report(rnorm, converged=True)
-
-
-def _check_density_bounds(rho: np.ndarray, rho_l: float, rho_v: float) -> None:
-    # small overshoot tolerance relative to the density jump
-    slack = 1e-6 * (rho_l - rho_v)
-    if np.min(rho) < rho_v - slack or np.max(rho) > rho_l + slack:
-        raise NewtonDiverged(
-            "converged iterate leaves the physical density bracket "
-            f"[{rho_v:.6g}, {rho_l:.6g}]")
+    plain = float(np.max(np.abs(f)))
+    return rho, s, report(plain, converged=plain <= _TOL)
 
 
 def interface_observables(p: FluidParams, bc: BulkConditions,

@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .eos import FluidParams, bulk_conditions, read_number
+from .eos import FluidParams, bulk_conditions, check_keys, read_number
 from .equilibrium import (
     GridConfig,
     Profile,
@@ -101,11 +101,9 @@ class SweepConfig:
             raise InvalidConfig("sweep undercoolings must be strictly decreasing")
         if vals[0] / vals[-1] < 100.0 * (1.0 - 1e-12):
             raise InvalidConfig("sweep undercoolings must span at least 2 decades")
-        tols = dict(self.tolerances)
-        unknown = set(tols) - set(EXPONENT_TARGETS)
-        if unknown:
-            raise InvalidConfig(f"unknown sweep.tolerances keys: {sorted(unknown, key=str)}")
-        tols = {law: read_number(tol, f"sweep.tolerances.{law}") for law, tol in tols.items()}
+        check_keys(self.tolerances, EXPONENT_TARGETS, "sweep.tolerances")
+        tols = {law: read_number(tol, f"sweep.tolerances.{law}")
+                for law, tol in self.tolerances.items()}
         object.__setattr__(self, "tolerances", types.MappingProxyType(tols))  # read-only copy
         bad = {law: tol for law, tol in tols.items() if not (math.isfinite(tol) and tol > 0.0)}
         if bad:

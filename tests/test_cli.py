@@ -334,6 +334,10 @@ def test_json_output_is_normalized(tmp_path):
     {"params": {"C": 1e200, "D": 1e200, "E": 1e200}},
     # a grid above the node cap is refused before anything is allocated
     {"grid": {"n_points": 10 ** 15 + 1}},
+    # a non-finite undercooling, or temperature, is no bulk condition
+    {"delta_T": math.nan},
+    {"delta_T": math.inf},
+    {"T0": math.nan},
 ])
 def test_bad_configs_exit_2(tmp_path, config):
     proc, out = run_cli(tmp_path, "profile", config=config)
@@ -408,6 +412,43 @@ def test_out_naming_a_file_exits_2(tmp_path):
     assert proc.stderr.startswith("config error:")
     assert "Traceback" not in proc.stderr
     assert (tmp_path / "taken").read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("profile", "profile.csv"), ("check", "check.json")])
+def test_unwritable_artifact_exits_2(tmp_path, command, artifact):
+    # a directory in the artifact's place: the rename fails, and the run
+    # ends in a config error naming the path, with its temp file removed
+    (tmp_path / "out" / artifact).mkdir(parents=True)
+    proc, out = run_cli(tmp_path, command)
+    assert proc.returncode == 2
+    assert f"config error: cannot write {str(out / artifact)!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("tokens", [
+    ["rho=1.0", "a0", "g2=1e-9"],           # no "="
+    ["rho=1.0", "rho=1.0", "g2=1e-9"],      # a key twice, so one is missing
+    ["rho=1.0", "a=0", "b=1e-9"],           # an unknown key
+    ["rho=1.0", "a=zero", "g2=1e-9"],       # not a number
+])
+def test_malformed_locus_exits_2(tmp_path, tokens):
+    proc, out = run_cli(tmp_path, "celerity", "--locus", *tokens)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: --locus")
+    assert not out.exists()
+
+
+def test_out_that_is_no_path_string_exits_2(tmp_path, capsys, monkeypatch):
+    # the config's out is read only where --out is not given
+    from thermocap import cli
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text('{"out": 5}')
+    assert cli.main(["profile", "--config", "config.json"]) == 2
+    assert capsys.readouterr().err == "config error: out must be a directory path string\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_stale_temp_path_does_not_block_artifacts(tmp_path):

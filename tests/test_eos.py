@@ -26,7 +26,7 @@ from thermocap import (
     temperature,
     validate_params,
 )
-from thermocap.eos import BulkConditions, bulk_energy_hessian, enthalpy
+from thermocap.eos import BulkConditions, bulk_energy_hessian, check_keys, enthalpy
 from thermocap.equilibrium import GridConfig, bulk_states
 from thermocap.errors import (
     IndefiniteGradientForm,
@@ -80,6 +80,13 @@ def test_gradient_form_whose_determinant_overflows_is_refused():
 def test_validate_params_rejects_unknown_keys():
     with pytest.raises(InvalidConfig, match="unknown parameter"):
         validate_params({"A": 1.0, "rho_crit": 1.0})
+
+
+def test_check_keys_names_every_unknown_key_sorted():
+    # keys of mixed types sort by their text, so no comparison raises
+    check_keys({"A": 1.0}, ["A", "B"], "parameter")
+    with pytest.raises(InvalidConfig, match=r"^unknown grid keys: \[1, 'x', 'y'\]$"):
+        check_keys({"y": 0, 1: 0, "x": 0, "A": 0}, ["A"], "grid")
 
 
 def test_validate_params_fills_defaults():
@@ -168,6 +175,15 @@ def test_bulk_conditions_refuses_non_numbers(value):
     with pytest.raises(InvalidConfig, match="delta_t"):
         bulk_conditions(P0, delta_t=value)
     with pytest.raises(InvalidConfig, match="T0"):
+        bulk_conditions(P0, T0=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_undercooling_is_blamed_on_itself(value):
+    # T0 = T_c - delta_t is derived from it, but the caller gave delta_t
+    with pytest.raises(InvalidConfig, match=f"^delta_t must be finite, got {value!r}$"):
+        bulk_conditions(P0, delta_t=value)
+    with pytest.raises(InvalidConfig, match="^T0 must be finite"):
         bulk_conditions(P0, T0=value)
 
 

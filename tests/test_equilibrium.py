@@ -384,7 +384,8 @@ def test_fine_grid_is_seeded_by_a_coarse_presolve(n, dt):
     assert report.seed_points == 1001 and report.seed_iterations >= 1
     assert report.to_dict()["seed_points"] == 1001
     assert prof.rho[prof.mid_index] == P0.rho_c
-    rho, s, _, closed_seeded = _newton(P0, bc, closed_profile(P0, bc, grid))
+    closed = closed_profile(P0, bc, grid)
+    rho, s, closed_seeded = _newton(P0, bc, closed, closed.rho, closed.s)
     assert closed_seeded.iterations > 1 and closed_seeded.seed_points == 0
     assert np.max(np.abs(prof.rho - rho)) <= 1e-10
     assert np.max(np.abs(prof.s - s)) <= 1e-10
@@ -396,9 +397,11 @@ def test_coarser_grids_keep_the_closed_seed_bit_for_bit(n):
     bc = bulk_conditions(P0, delta_t=0.1)
     grid = GridConfig(n_points=n)
     prof, report = solve_full_bvp(P0, bc, grid)
-    rho, s, f, loop = _newton(P0, bc, closed_profile(P0, bc, grid))
+    closed = closed_profile(P0, bc, grid)
+    rho, s, loop = _newton(P0, bc, closed, closed.rho, closed.s)
     assert report.seed_points == report.seed_iterations == 0
     assert np.array_equal(prof.rho, rho) and np.array_equal(prof.s, s)
+    f = _coupled_residual(P0, bc, rho, s, closed.h)
     assert report.residual_norm == float(np.max(np.abs(f)))
     assert (report.iterations, report.damping_history, report.residual_history,
             report.phase_force) == (loop.iterations, loop.damping_history,
@@ -416,7 +419,8 @@ def test_fine_grid_still_refuses_a_box_too_short_for_the_tails():
     report = info.value.report
     assert not report.converged and report.seed_points == 1001
     assert report.residual_history[-1] <= report.tolerance < report.residual_norm
-    _, _, _, closed_seeded = _newton(P0, bc, closed_profile(P0, bc, grid))
+    closed = closed_profile(P0, bc, grid)
+    _, _, closed_seeded = _newton(P0, bc, closed, closed.rho, closed.s)
     assert report.phase_force == pytest.approx(closed_seeded.phase_force, rel=1e-6)
 
 
@@ -449,6 +453,46 @@ def test_presolve_divergence_exits_3_from_the_cli(monkeypatch, capsys, tmp_path)
     assert cli.main(["profile", "--full", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "NewtonDiverged: 1001-node pre-solve: singular Jacobian" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("n, prefix", [(1001, ""), (16001, "1001-node pre-solve: ")])
+def test_iteration_cap_raises_max_iterations_with_report(monkeypatch, n, prefix):
+    # delta_t = 0.1 needs more than one step on either grid; with a budget
+    # of one the solve stops at its cap, and a capped pre-solve names itself
+    monkeypatch.setattr(equilibrium, "_MAX_ITER", 1)
+    bc = bulk_conditions(P0, delta_t=0.1)
+    with pytest.raises(MaxIterations, match="no convergence in 1 iterations") as info:
+        solve_full_bvp(P0, bc, GridConfig(n_points=n))
+    assert str(info.value).startswith(prefix + "no convergence")
+    report = info.value.report
+    assert report.iterations == 1 and not report.converged
+
+
+def _overshooting_newton(monkeypatch):
+    # the real solve, with one density pushed above the liquid bulk value
+    real = equilibrium._newton
+
+    def overshooting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[0][1] = 2.0
+        return out
+
+    monkeypatch.setattr(equilibrium, "_newton", overshooting)
+
+
+def test_solution_outside_the_density_bracket_is_refused(monkeypatch):
+    _overshooting_newton(monkeypatch)
+    with pytest.raises(NewtonDiverged, match="leaves the physical density bracket"):
+        solve_full_bvp(P0, BC)
+
+
+def test_solution_outside_the_density_bracket_exits_3_from_the_cli(monkeypatch, capsys,
+                                                                  tmp_path):
+    _overshooting_newton(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main(["profile", "--full", "--out", str(out)]) == 3
+    assert "NewtonDiverged: converged iterate leaves" in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())
 
 
