@@ -6,9 +6,10 @@ observables, ``celerity`` the tangential wave speed by both routes,
 cross-module invariant suite; ``sweep`` and ``check`` print their
 PASS/FAIL verdict table.  Everything is deterministic: one seed (from
 the config or --seed) drives all sampling and is recorded in every JSON
-artifact, floats are written with 17 significant digits, and files are
-written to a temp name and atomically renamed so failures leave no partial
-artifacts.
+artifact, and floats are written with 17 significant digits.  Commands
+only compute; one publisher writes a run's artifacts all or none, each to
+a temp name, all renamed once every one is written.  A config that
+repeats a key in any object is refused.
 
 Exit codes: 0 success; 2 configuration or validation error (a grid of
 more than 1000001 nodes and an artifact path that cannot be written among
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
+import functools
 import json
 import math
 import os
@@ -90,32 +91,43 @@ def _format_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    # a random temp name per write, so concurrent runs into one directory
-    # never share a temp file; "x" refuses an existing path and keeps the
-    # umask-derived mode a plain open() gives the artifact
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+def _publish(cfg: RunConfig, artifacts: Mapping[str, object]) -> None:
+    """Write a run's artifacts, all or none: by file name, a JSON payload
+    (a dict, written with the run's seed) or a CSV writer taking the stream."""
+    # --format picks a family only where the run has both
+    if len({callable(a) for a in artifacts.values()}) == 2 and cfg.fmt != "both":
+        artifacts = {name: a for name, a in artifacts.items()
+                     if callable(a) == (cfg.fmt == "csv")}
     try:
-        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:  # e.g. the path names an existing file
+        raise InvalidConfig(f"cannot use {cfg.out_dir!r} as output directory: {exc}") from None
+    # each file streams into its own random "x"-mode temp name, which refuses
+    # an existing path and keeps the umask-derived mode a plain open() gives;
+    # the temps are renamed only once all are written and no target is a
+    # real directory (a symlink there is replaced, as os.replace does)
+    temps = {}
+    try:
+        for name, artifact in artifacts.items():
+            path = os.path.join(cfg.out_dir, name)
+            temps[path] = f"{path}.{os.urandom(8).hex()}.tmp"
+            with open(temps[path], "x", encoding="utf-8", newline="\n") as fh:
+                if callable(artifact):
+                    artifact(fh)
+                else:
+                    fh.write(_format_json({**artifact, "seed": cfg.seed}) + "\n")
+        for path in temps:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise InvalidConfig(f"cannot write {path!r}: Is a directory")
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
     except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(exc, OSError):  # e.g. a directory sits at the artifact's path
+        for tmp in temps.values():
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        if isinstance(exc, OSError):
             raise InvalidConfig(f"cannot write {path!r}: {exc.strerror or exc}") from None
         raise
-
-
-def _write_json(out_dir: str, name: str, payload) -> None:
-    _write_atomic(os.path.join(out_dir, name), _format_json(payload) + "\n")
-
-
-def _write_csv(out_dir: str, name: str, write, data) -> None:
-    """Write the CSV that write(data, stream) produces, atomically."""
-    buf = io.StringIO()
-    write(data, buf)
-    _write_atomic(os.path.join(out_dir, name), buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +153,15 @@ def _require_mapping(value, where: str) -> Mapping:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json's object_pairs_hook: a key given twice would keep its last value
+    mapping = dict(pairs)
+    if len(mapping) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise InvalidConfig(f"config repeats keys: {sorted({k for k in keys if keys.count(k) > 1})}")
+    return mapping
+
+
 def _parse_locus(tokens: Optional[Sequence[str]]) -> Optional[waves.WaveLocus]:
     if tokens is None:
         return None
@@ -163,7 +184,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     raw: Mapping = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
         raw = _require_mapping(raw, "config")
     check_keys(raw, _TOP_KEYS, "config")
 
@@ -205,38 +226,24 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                      locus=_parse_locus(getattr(args, "locus", None)))
 
 
-def _ensure_out(cfg: RunConfig) -> None:
-    try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    except OSError as exc:  # e.g. the path names an existing file
-        raise InvalidConfig(f"cannot use {cfg.out_dir!r} as output directory: {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_profile(cfg: RunConfig) -> int:
+def cmd_profile(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.full:
         prof, report = equilibrium.solve_full_bvp(cfg.params, cfg.bc, cfg.grid)
     else:
         prof, report = equilibrium.closed_profile(cfg.params, cfg.bc, cfg.grid), None
     obs = equilibrium.interface_observables(cfg.params, cfg.bc, prof)
-    _ensure_out(cfg)
-    if cfg.fmt in ("csv", "both"):
-        _write_csv(cfg.out_dir, "profile.csv", equilibrium.profile_to_csv, prof)
-    if cfg.fmt in ("json", "both"):
-        payload = obs.to_dict()
-        payload["seed"] = cfg.seed
-        payload["provenance"] = prof.provenance
-        _write_json(cfg.out_dir, "observables.json", payload)
-        if report is not None:
-            _write_json(cfg.out_dir, "newton.json",
-                        {**report.to_dict(), "seed": cfg.seed})
-    return EXIT_OK
+    artifacts = {"profile.csv": functools.partial(equilibrium.profile_to_csv, prof),
+                 "observables.json": {**obs.to_dict(), "provenance": prof.provenance}}
+    if report is not None:
+        artifacts["newton.json"] = report.to_dict()
+    return EXIT_OK, artifacts
 
 
-def cmd_celerity(cfg: RunConfig) -> int:
+def cmd_celerity(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.locus is not None:
         locus = cfg.locus
         closed = waves.celerity_general(cfg.params, locus)
@@ -256,10 +263,7 @@ def cmd_celerity(cfg: RunConfig) -> int:
         # no root to find when the tangential entropy gradient vanishes
         payload["determinant_root"] = None
         payload["relative_difference"] = None
-    payload["seed"] = cfg.seed
-    _ensure_out(cfg)
-    _write_json(cfg.out_dir, "celerity.json", payload)
-    return EXIT_OK
+    return EXIT_OK, {"celerity.json": payload}
 
 
 def _verdict_table(kind: str, columns: str, rows: Sequence[tuple[str, bool, str]]) -> list[str]:
@@ -285,32 +289,25 @@ def _sweep_table(report: scaling.ScalingReport, summary: scaling.VerificationSum
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
     report = scaling.run_sweep(cfg.params, cfg.sweep)
     summary = scaling.verify_exponents(report)
     sys.stdout.write(_sweep_table(report, summary))
-    _ensure_out(cfg)
-    if cfg.fmt in ("csv", "both"):
-        _write_csv(cfg.out_dir, "sweep.csv", scaling.report_to_csv, report)
-    if cfg.fmt in ("json", "both"):
-        payload = report.to_dict()
-        payload["verification"] = summary.to_dict()
-        payload["tolerance_overrides"] = cfg.sweep.tolerances or None
-        payload["seed"] = cfg.seed
-        _write_json(cfg.out_dir, "scaling.json", payload)
-    return EXIT_OK if summary.all_passed else EXIT_VERIFICATION
+    payload = {**report.to_dict(), "verification": summary.to_dict(),
+               "tolerance_overrides": cfg.sweep.tolerances or None}
+    return (EXIT_OK if summary.all_passed else EXIT_VERIFICATION,
+            {"sweep.csv": functools.partial(scaling.report_to_csv, report),
+             "scaling.json": payload})
 
 
-def cmd_check(cfg: RunConfig) -> int:
+def cmd_check(cfg: RunConfig) -> tuple[int, dict]:
     checks = run_checks(cfg.params, cfg.bc, cfg.grid, cfg.seed)
     lines = _verdict_table("check", "metric      threshold", [
         (c["name"], c["passed"], f"{c['metric']:.4e}  {c['threshold']:.4e}") for c in checks])
     sys.stdout.write("\n".join(lines) + "\n")
     all_passed = all(c["passed"] for c in checks)
-    _ensure_out(cfg)
-    _write_json(cfg.out_dir, "check.json",
-                {"seed": cfg.seed, "checks": checks, "all_passed": all_passed})
-    return EXIT_OK if all_passed else EXIT_VERIFICATION
+    return (EXIT_OK if all_passed else EXIT_VERIFICATION,
+            {"check.json": {"checks": checks, "all_passed": all_passed}})
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +360,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.handler(cfg)
+        code, artifacts = args.handler(cfg)
+        _publish(cfg, artifacts)
+        return code
     except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,7 +11,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 CLI = [sys.executable, "-m", "thermocap"]
@@ -379,20 +379,28 @@ def _config_documents():
     }) | json_values
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(command=st.sampled_from(["profile", "celerity"]), doc=_config_documents())
+@given(command=st.sampled_from(["profile", "celerity", "sweep", "check"]),
+       doc=_config_documents())
+# the delta_T = 0.1 row reaches rho_v < 0: sweep fails that row (exit 4,
+# named only on stdout), and check at that undercooling exits 3
+@example(command="sweep", doc={"params": {"A": 1.0, "B": 0.0625}})
+@example(command="check", doc={"params": {"A": 1.0, "B": 0.0625}, "delta_T": 0.1})
 def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, capsys, command, doc):
     # every config document, however malformed, ends in exit 0/2/3/4 with
-    # the error named on stderr, never in an uncaught exception
+    # the error named on stderr, never in an uncaught exception; a failed
+    # verification (exit 4) is named in the verdict table on stdout instead
     from thermocap import cli
 
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert rc in (0, 2, 3, 4)
-    assert rc == 0 or err.strip()
+    verdict = [line for line in out.splitlines()
+               if " FAIL " in line or line.startswith("failed row")]
+    assert rc == 0 or err.strip() or (rc == 4 and verdict)
 
 
 @pytest.mark.parametrize("command", ["celerity", "check"])
@@ -415,16 +423,66 @@ def test_out_naming_a_file_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("command, artifact", [
-    ("profile", "profile.csv"), ("check", "check.json")])
+    ("profile", "profile.csv"), ("profile", "observables.json"),
+    ("profile --full", "newton.json"), ("sweep", "scaling.json"),
+    ("check", "check.json")])
 def test_unwritable_artifact_exits_2(tmp_path, command, artifact):
-    # a directory in the artifact's place: the rename fails, and the run
-    # ends in a config error naming the path, with its temp file removed
+    # a directory in any one artifact's place: the run ends in a config
+    # error naming the path, and none of its artifacts or temps is written
     (tmp_path / "out" / artifact).mkdir(parents=True)
-    proc, out = run_cli(tmp_path, command)
+    proc, out = run_cli(tmp_path, *command.split())
     assert proc.returncode == 2
-    assert f"config error: cannot write {str(out / artifact)!r}" in proc.stderr
+    assert f"config error: cannot write {str(out / artifact)!r}: Is a directory" in proc.stderr
     assert "Traceback" not in proc.stderr
-    assert not list(out.glob("*.tmp"))
+    assert [f.name for f in out.iterdir()] == [artifact]
+
+
+def test_refused_run_leaves_an_earlier_runs_artifacts_untouched(tmp_path):
+    _, out = run_cli(tmp_path, "profile")
+    before = {name: (out / name).read_bytes() for name in ("profile.csv", "observables.json")}
+    (out / "newton.json").mkdir()
+    proc, _ = run_cli(tmp_path, "profile", "--full")
+    assert proc.returncode == 2, proc.stderr
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert sorted(f.name for f in out.iterdir()) == [
+        "newton.json", "observables.json", "profile.csv"]
+
+
+def test_symlink_at_an_artifact_path_is_replaced(tmp_path):
+    # only a real directory blocks a run; a link to one is an entry the
+    # rename replaces, leaving the directory it named alone
+    (tmp_path / "elsewhere").mkdir()
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "check.json").symlink_to(tmp_path / "elsewhere")
+    proc, out = run_cli(tmp_path, "check")
+    assert proc.returncode == 0, proc.stderr
+    assert not (out / "check.json").is_symlink()
+    assert read_json(out / "check.json")["all_passed"] is True
+    assert (tmp_path / "elsewhere").is_dir()
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("celerity", "celerity.json"), ("check", "check.json")])
+def test_format_csv_still_writes_a_json_only_command(tmp_path, command, artifact):
+    # --format picks a family only where a command writes both
+    proc, out = run_cli(tmp_path, command, "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    assert [f.name for f in out.iterdir()] == [artifact]
+    assert read_json(out / artifact)["seed"] == 0
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"delta_T": 0.1, "delta_T": 0.001}', "delta_T"),
+    ('{"params": {"D": 0.9, "D": 0.1}}', "D"),
+    ('{"grid": {"n_points": 1001, "n_points": 2001}}', "n_points"),
+], ids=["top-level", "params", "grid"])
+def test_config_repeating_a_key_exits_2(tmp_path, text, key):
+    # json.dumps cannot repeat a key, so the document is written as text
+    (tmp_path / "config.json").write_text(text)
+    proc, out = run_cli(tmp_path, "profile", "--config", str(tmp_path / "config.json"))
+    assert proc.returncode == 2
+    assert proc.stderr == f"config error: config repeats keys: [{key!r}]\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tokens", [
