@@ -301,6 +301,14 @@ def simpson_uniform(f: np.ndarray, h: float) -> float:
     return float(total)
 
 
+# the diagnostics below take bc beside a profile that carries its own; a
+# pair from two problems would mix one problem's closed forms with the
+# other's profile, so it is refused
+def _own_conditions(bc: BulkConditions, prof: Profile) -> None:
+    if bc != prof.bc:
+        raise InvalidConfig(f"conditions {bc} are not the profile's own {prof.bc}")
+
+
 def reduced_residual(p: FluidParams, bc: BulkConditions, prof: Profile) -> np.ndarray:
     """Pointwise defect of the reduced profile equation.
 
@@ -309,6 +317,7 @@ def reduced_residual(p: FluidParams, bc: BulkConditions, prof: Profile) -> np.nd
     2..n-3 where it applies.  The stencil acts on rho - rho_c, which has the
     same second derivative but two fewer digits of cancellation.
     """
+    _own_conditions(bc, prof)
     m = prof.rho - p.rho_c
     d2 = second_derivative_4th(m, prof.h)
     rhs = chemical_potential_cubic(p, prof.rho[2:-2], bc.delta_t) - p.mu_c
@@ -321,6 +330,7 @@ def first_integral_residual(p: FluidParams, bc: BulkConditions, prof: Profile) -
     (1/2) C rho'^2 - ((sqrt(B)/2) m^2 - (A/(2 sqrt(B))) delta_t)^2 on the
     interior nodes 2..n-3 (central 4th-order first differences).
     """
+    _own_conditions(bc, prof)
     drho = derivative_4th(prof.rho, prof.h)[2:-2]
     m = prof.rho[2:-2] - p.rho_c
     sqrt_b = math.sqrt(p.B)
@@ -606,6 +616,7 @@ def _newton(p: FluidParams, bc: BulkConditions, closed: Profile, rho: np.ndarray
 def interface_observables(p: FluidParams, bc: BulkConditions,
                           prof: Profile) -> InterfaceObservables:
     """Bundle width, bulk densities, tensions and the first-integral constant."""
+    _own_conditions(bc, prof)
     zeta = interface_width(p, bc)
     liquid, vapor = bulk_states(p, bc)
     return InterfaceObservables(

@@ -232,6 +232,14 @@ def test_check_suite_passes_and_prints_a_table(tmp_path):
     assert "first-integral-residual" in names
 
 
+def test_check_samples_undercoolings_inside_the_configs_coexistence(tmp_path):
+    # coexistence ends at delta_T = B rho_c^2 / A = 0.1 here: the suite
+    # samples the config's own undercooling and below it, never a fixed 0.1
+    proc, _ = run_cli(tmp_path, "check", config={"params": {"B": 0.1}})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "13/13 checks passed"
+
+
 def test_check_table_columns_line_up_under_their_headings(capsys, tmp_path):
     from thermocap import cli
 
@@ -401,6 +409,43 @@ def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, capsys, command,
     verdict = [line for line in out.splitlines()
                if " FAIL " in line or line.startswith("failed row")]
     assert rc == 0 or err.strip() or (rc == 4 and verdict)
+
+
+def _valid_documents():
+    """Config documents the model accepts: A, B, C and E log-uniform within
+    a decade, rho_c and T_c within half a decade, of their reference value
+    1; D inside C E > D^2; delta_T in [1e-6, 0.9]; an odd grid of 51 to
+    16001 nodes."""
+    def log_uniform(lo, hi):
+        return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+    def document(draw):
+        params, u, delta_t, half_n = draw
+        params["D"] = u * 0.99 * math.sqrt(params["C"] * params["E"])
+        return {"params": params, "delta_T": delta_t, "grid": {"n_points": 2 * half_n + 1}}
+
+    return st.tuples(
+        st.fixed_dictionaries({**{k: log_uniform(0.1, 10.0) for k in "ABCE"},
+                               **{k: log_uniform(0.32, 3.2) for k in ("rho_c", "T_c")}}),
+        st.floats(-1.0, 1.0), log_uniform(1e-6, 0.9), st.integers(25, 8000)).map(document)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=_valid_documents())
+def test_check_answers_every_valid_config_the_full_profile_answers(tmp_path, capsys, doc):
+    # check samples undercoolings from the config's own down to three
+    # decades below it, all inside its coexistence bracket, so it stops
+    # with a model error (exit 3) only where the profile itself does
+    from thermocap import cli
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    codes = [cli.main([*command, "--config", str(cfg), "--out", str(tmp_path / command[0])])
+             for command in (["profile", "--full"], ["check"])]
+    capsys.readouterr()
+    assert set(codes) <= {0, 3, 4}, (codes, doc)
+    assert codes[1] != 3 or codes[0] == 3, (codes, doc)
 
 
 @pytest.mark.parametrize("command", ["celerity", "check"])

@@ -191,6 +191,18 @@ def test_interface_observables_bundle():
     assert obs.to_dict()["delta_T"] == BC.delta_t
 
 
+@pytest.mark.parametrize("diagnostic", [
+    interface_observables, reduced_residual, first_integral_residual])
+def test_diagnostics_refuse_conditions_other_than_the_profiles_own(diagnostic):
+    # the delta_T = 1e-2 front judged at delta_T = 1e-3 would mix two
+    # problems: observables quoting one undercooling beside the other's
+    # tension, or a residual of 9e-4 on an exact profile
+    prof = closed_profile(P0, BC)
+    other = bulk_conditions(P0, delta_t=1e-3)
+    with pytest.raises(InvalidConfig, match=r"delta_t=0\.001.*delta_t=0\.01\)"):
+        diagnostic(P0, other, prof)
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference stencils
 # ---------------------------------------------------------------------------

@@ -328,7 +328,7 @@ def test_check_wave_metrics_match_a_per_locus_recomputation(seed):
     # replay the suite's draws: three 200-sample eos draws, then the loci,
     # then one probe factor per locus
     rng = np.random.default_rng(seed)
-    for lo, hi in ((-4.0, -1.0), (-1.0, 1.0), (0.5, 1.5)):
+    for lo, hi in ((-3.0, 0.0), (-1.0, 1.0), (0.5, 1.5)):
         rng.uniform(lo, hi, 200)
     rho_w = P0.rho_c * rng.uniform(0.5, 1.5, 100)
     a_w = rng.uniform(-1.0, 1.0, 100) * 0.1
