@@ -9,7 +9,9 @@ the config or --seed) drives all sampling and is recorded in every JSON
 artifact, and floats are written with 17 significant digits.  Commands
 only compute; one publisher writes a run's artifacts all or none, each to
 a temp name, all renamed once every one is written.  A config that
-repeats a key in any object is refused.
+repeats a key in any object is refused.  ``main(argv)`` may be called
+repeatedly in one process: the parser is built on the first call, and
+every call writes what the same command line would.
 
 Exit codes: 0 success; 2 configuration or validation error (a grid of
 more than 1000001 nodes and an artifact path that cannot be written among
@@ -314,7 +316,10 @@ def cmd_check(cfg: RunConfig) -> tuple[int, dict]:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, each gets a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="JSON config file (strict keys; defaults used when omitted)")

@@ -634,6 +634,75 @@ def test_divergent_solver_reports_and_exits_3(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# repeated in-process calls
+# ---------------------------------------------------------------------------
+
+def test_parser_is_built_once_per_process():
+    from thermocap import cli
+
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_repeated_calls_carry_nothing_over(tmp_path, capsys):
+    # each pair runs in one process, the second call without the option
+    # the first one gave; nothing of the first may reach the second
+    from thermocap import cli
+
+    def run(out, *argv):
+        rc = cli.main([*argv, "--out", str(tmp_path / out)])
+        capsys.readouterr()
+        return rc, tmp_path / out
+
+    rc, out = run("locus", "celerity", "--locus", "rho=1", "a=0", "g2=1e-6")
+    assert rc == 0 and read_json(out / "celerity.json")["locus_source"] == "override"
+    rc, out = run("no_locus", "celerity")
+    assert rc == 0 and read_json(out / "celerity.json")["locus_source"] == "dividing-surface"
+
+    rc, out = run("full", "profile", "--full")
+    assert rc == 0 and read_json(out / "observables.json")["provenance"] == "full-solver"
+    rc, out = run("closed", "profile")
+    assert rc == 0 and read_json(out / "observables.json")["provenance"] == "closed-form"
+    assert not (out / "newton.json").exists()
+
+    rc, out = run("csv", "profile", "--format", "csv")
+    assert rc == 0 and sorted(f.name for f in out.iterdir()) == ["profile.csv"]
+    rc, out = run("both", "profile")
+    assert rc == 0 and sorted(f.name for f in out.iterdir()) == [
+        "observables.json", "profile.csv"]
+
+    with pytest.raises(SystemExit) as info:
+        run("bogus", "profile", "--bogus")
+    assert info.value.code == 2
+    assert run("after_bogus", "profile")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("profile",),
+    ("profile", "--full"),
+    ("celerity",),
+    ("sweep",),
+    ("sweep", "--full"),
+    ("check",),
+])
+def test_second_inprocess_call_matches_a_fresh_process(tmp_path, capsys, argv):
+    # acceptance criterion 8 across the parser's reuse: the second call in
+    # one process writes the bytes and the table a fresh process writes
+    from thermocap import cli
+
+    args = [*argv, "--seed", "11"]
+    for out in ("first", "second"):
+        assert cli.main([*args, "--out", str(tmp_path / out)]) == 0
+        stdout = capsys.readouterr().out
+    proc, fresh = run_cli(tmp_path, *args, out="fresh")
+    assert proc.returncode == 0, proc.stderr
+    assert stdout == proc.stdout
+    names = sorted(f.name for f in fresh.iterdir())
+    assert names and names == sorted(f.name for f in (tmp_path / "second").iterdir())
+    for name in names:
+        assert (tmp_path / "second" / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
 # import contract
 # ---------------------------------------------------------------------------
 

@@ -383,6 +383,23 @@ def test_too_short_box_raises_undecayed_tail_with_report():
     assert f"c = {report.phase_force:.3e}" in str(info.value)
 
 
+@pytest.mark.parametrize("n", [4001, 8001, 16001])
+def test_too_short_box_is_refused_alike_on_every_grid(n):
+    # E = 3 decays too slowly for 15 widths at delta_t = 0.3.  At n = 16001
+    # the bordered residual stalls at its rounding floor, about 1.05e-10,
+    # just above the tolerance; that floor lies far below the force that
+    # holds the front (|c| max|psi| ~ 1.3e-4), so the refusal is the one
+    # the coarser grids give, not a divergence
+    p = FluidParams(E=3.0)
+    bc = bulk_conditions(p, delta_t=0.3)
+    with pytest.raises(UndecayedTail, match="half_width_in_zeta = 15 truncates the tails; widen it") as info:
+        solve_full_bvp(p, bc, GridConfig(n_points=n))
+    report = info.value.report
+    assert not report.converged
+    assert report.phase_force == pytest.approx(6.076e-4, rel=1e-3)
+    assert report.residual_norm == pytest.approx(1.289e-4, rel=1e-3)
+
+
 @pytest.mark.parametrize("n", [8001, 16001])
 @pytest.mark.parametrize("dt", [1e-1, 1e-2, 1e-3])
 def test_fine_grid_is_seeded_by_a_coarse_presolve(n, dt):
