@@ -29,14 +29,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import equilibrium, scaling, waves
 from .checks import run_checks
-from .eos import BulkConditions, FluidParams, bulk_conditions, check_keys, validate_params
+from .eos import BulkConditions, FluidParams, bulk_conditions, check_keys, read_object
 from .equilibrium import GridConfig
 from .errors import InvalidConfig, ModelError
 from .scaling import SweepConfig
@@ -49,8 +49,6 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
 _TOP_KEYS = {"params", "delta_T", "T0", "grid", "sweep", "format", "seed", "out"}
-_GRID_KEYS = {f.name for f in fields(GridConfig)}
-_SWEEP_KEYS = {f.name for f in fields(SweepConfig)} - {"grid"}  # grid is a top-level key
 _LOCUS_KEYS = ("rho", "a", "g2")
 
 
@@ -149,12 +147,6 @@ class RunConfig:
     locus: Optional[waves.WaveLocus]
 
 
-def _require_mapping(value, where: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise InvalidConfig(f"{where} must be a JSON object")
-    return value
-
-
 def _unique_keys(pairs: list) -> dict:
     # json's object_pairs_hook: a key given twice would keep its last value
     mapping = dict(pairs)
@@ -186,12 +178,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     raw: Mapping = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=_unique_keys)
-        raw = _require_mapping(raw, "config")
-    check_keys(raw, _TOP_KEYS, "config")
-
-    params_raw = _require_mapping(raw.get("params", {}), "params")
-    p = validate_params(params_raw)
+            raw = check_keys(json.load(fh, object_pairs_hook=_unique_keys), _TOP_KEYS, "config")
+    p = read_object(FluidParams, raw.get("params", {}), "params")
 
     if "delta_T" in raw and "T0" in raw:
         raise InvalidConfig("config sets both delta_T and T0; pick one")
@@ -200,13 +188,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     else:
         bc = bulk_conditions(p, delta_t=raw.get("delta_T", 0.01))
 
-    grid_raw = _require_mapping(raw.get("grid", {}), "grid")
-    check_keys(grid_raw, _GRID_KEYS, "grid")
-    grid = GridConfig(**grid_raw)
-
-    sweep_raw = _require_mapping(raw.get("sweep", {}), "sweep")
-    check_keys(sweep_raw, _SWEEP_KEYS, "sweep")
-    sweep = SweepConfig(grid=grid, **sweep_raw)
+    grid = read_object(GridConfig, raw.get("grid", {}), "grid")
+    sweep = read_object(SweepConfig, raw.get("sweep", {}), "sweep", grid=grid)  # grid is top-level
     full = getattr(args, "full", False)  # only profile and sweep take --full
     if full:
         sweep = replace(sweep, use_full_solver=True)

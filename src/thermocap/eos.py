@@ -40,6 +40,7 @@ __all__ = [
     "read_number",
     "read_fields",
     "check_keys",
+    "read_object",
     "validate_params",
     "bulk_conditions",
     "bulk_energy",
@@ -101,11 +102,22 @@ def read_number(value, where: str) -> float:
         raise InvalidConfig(f"{where} is out of range: {value!r}") from None
 
 
-def check_keys(raw: Mapping, allowed, where: str) -> None:
-    """Refuse a mapping with keys outside allowed, naming them and where."""
+def check_keys(raw, allowed, where: str) -> Mapping:
+    """raw, once it is a JSON object (a mapping) with no keys outside allowed;
+    else InvalidConfig naming where, so that no typo runs on a default."""
+    if not isinstance(raw, Mapping):
+        raise InvalidConfig(f"{where} must be a JSON object")
     unknown = set(raw) - set(allowed)
     if unknown:
         raise InvalidConfig(f"unknown {where} keys: {sorted(unknown, key=str)}")
+    return raw
+
+
+def read_object(cls, raw, where: str, **given):
+    """The config dataclass cls from its JSON object raw, which may set the
+    fields of cls not given (see check_keys); cls reads the values itself."""
+    check_keys(raw, {f.name for f in fields(cls)} - set(given), where)
+    return cls(**raw, **given)
 
 
 def read_fields(obj, where: str, names=None) -> None:
@@ -119,14 +131,8 @@ def read_fields(obj, where: str, names=None) -> None:
 
 
 def validate_params(raw: Mapping[str, float]) -> FluidParams:
-    """Build FluidParams from a mapping, rejecting unknown keys.
-
-    Missing keys fall back to the reference reduced-unit values.  Strict key
-    checking exists so a typo in a physics constant fails loudly instead of
-    silently running with a default.
-    """
-    check_keys(raw, [f.name for f in fields(FluidParams)], "parameter")
-    return FluidParams(**raw)
+    """FluidParams from its JSON object; a key it omits takes the reference value."""
+    return read_object(FluidParams, raw, "params")
 
 
 @dataclass(frozen=True)
@@ -195,22 +201,28 @@ def bulk_energy(p: FluidParams, rho, s):
     return (p.B / (2.0 * p.A**2)) * (W * W + eta * eta) + p.mu_c * rho + p.T_c * eta - p.p_c
 
 
-def bulk_energy_partials(p: FluidParams, rho, s):
-    """Partial derivatives (d/drho, d/ds) of rho*alpha at fixed other variable."""
+def bulk_energy_partials(p: FluidParams, rho, s, delta_t=None):
+    """Partial derivatives (d/drho, d/ds) of rho*alpha at fixed other variable.
+
+    Given delta_t, those of rho*alpha - mu_c*rho - T0*rho*s, T0 = T_c - delta_t,
+    the profile equations' bulk terms: mu_c and T_c cancel exactly, not in rounding."""
     m = rho - p.rho_c
     eta = rho * s
     W = p.A * m * m + eta
     coef = p.B / p.A**2
-    d_rho = coef * (W * (2.0 * p.A * m + s) + eta * s) + p.mu_c + p.T_c * s
-    d_s = coef * rho * (W + eta) + p.T_c * rho
-    return d_rho, d_s
+    d_rho = coef * (W * (2.0 * p.A * m + s) + eta * s)
+    d_s = coef * rho * (W + eta)
+    if delta_t is None:
+        return d_rho + p.mu_c + p.T_c * s, d_s + p.T_c * rho
+    return d_rho + delta_t * s, d_s + delta_t * rho
 
 
-def bulk_energy_hessian(p: FluidParams, rho, s):
+def bulk_energy_hessian(p: FluidParams, rho, s, delta_t=None):
     """Second partials (d2/drho2, d2/drho ds, d2/ds2) of rho*alpha.
 
-    Needed analytically by the Newton solver of the coupled profile system;
-    checked against finite differences in the tests.
+    Given delta_t, those of bulk_energy_partials' delta_t form (d2/drho ds less
+    T0).  Needed analytically by the Newton solver of the coupled profile
+    system; checked against finite differences in the tests.
     """
     m = rho - p.rho_c
     eta = rho * s
@@ -218,7 +230,7 @@ def bulk_energy_hessian(p: FluidParams, rho, s):
     coef = p.B / p.A**2
     g = 2.0 * p.A * m + s
     h_rr = coef * (g * g + 2.0 * p.A * W + s * s)
-    h_rs = coef * (rho * g + W + 2.0 * eta) + p.T_c
+    h_rs = coef * (rho * g + W + 2.0 * eta) + (p.T_c if delta_t is None else delta_t)
     h_ss = 2.0 * coef * rho * rho
     return h_rr, h_rs, h_ss
 

@@ -32,6 +32,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -95,8 +96,10 @@ class GridConfig:
 
     def __post_init__(self):
         read_fields(self, "grid", ["half_width_in_zeta"])
-        if not isinstance(self.n_points, int) or self.n_points < 51 or self.n_points % 2 == 0:
-            raise InvalidConfig(f"n_points must be an odd integer >= 51, got {self.n_points!r}")
+        n = self.n_points
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 51 or n % 2 == 0:
+            raise InvalidConfig(f"n_points must be an odd integer >= 51, got {n!r}")
+        object.__setattr__(self, "n_points", int(n))  # a numpy integer too
         if self.n_points > _MAX_POINTS:
             raise InvalidConfig(f"n_points must be <= {_MAX_POINTS} (a full solve "
                                 "needs about 600 B per node)")
@@ -348,9 +351,10 @@ def _coupled_residual(p: FluidParams, bc: BulkConditions, rho: np.ndarray,
     c2 = 1.0 / (h * h)
     lap_rho = (rho[:-2] - 2.0 * rho[1:-1] + rho[2:]) * c2
     lap_s = (s[:-2] - 2.0 * s[1:-1] + s[2:]) * c2
-    d_rho, d_s = bulk_energy_partials(p, rho[1:-1], s[1:-1])
-    f1 = p.C * lap_rho + p.D * lap_s - (d_rho - s[1:-1] * bc.T0 - p.mu_c)
-    f2 = p.D * lap_rho + p.E * lap_s - (d_s - rho[1:-1] * bc.T0)
+    # d(rho*alpha)/drho - s*T0 - mu_c and d(rho*alpha)/ds - rho*T0, in delta_t
+    d_rho, d_s = bulk_energy_partials(p, rho[1:-1], s[1:-1], bc.delta_t)
+    f1 = p.C * lap_rho + p.D * lap_s - d_rho
+    f2 = p.D * lap_rho + p.E * lap_s - d_s
     out = np.empty(2 * f1.size)
     out[0::2] = f1
     out[1::2] = f2
@@ -444,8 +448,8 @@ def _coupled_jacobian_banded(p: FluidParams, bc: BulkConditions, rho: np.ndarray
     """
     np.copyto(out, neighbours)
     c2 = 1.0 / (h * h)
-    h_rr, h_rs, h_ss = bulk_energy_hessian(p, rho[1:-1], s[1:-1])
-    cross = -2.0 * p.D * c2 - (h_rs - bc.T0)  # d(F_1)/ds == d(F_2)/drho
+    h_rr, h_rs, h_ss = bulk_energy_hessian(p, rho[1:-1], s[1:-1], bc.delta_t)
+    cross = -2.0 * p.D * c2 - h_rs  # d(F_1)/ds == d(F_2)/drho
     ab = out[_KL:]
     _place_block(ab, 0, [[-2.0 * p.C * c2 - h_rr, cross], [cross, -2.0 * p.E * c2 - h_ss]])
     return ab

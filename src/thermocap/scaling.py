@@ -87,8 +87,6 @@ class SweepConfig:
         if not isinstance(self.use_full_solver, bool):
             raise InvalidConfig(
                 f"sweep.use_full_solver must be true or false, got {self.use_full_solver!r}")
-        if not isinstance(self.tolerances, Mapping):
-            raise InvalidConfig("sweep.tolerances must be a JSON object")
         vals = tuple(read_number(v, f"sweep.delta_t_values[{i}]")
                      for i, v in enumerate(self.delta_t_values))
         object.__setattr__(self, "delta_t_values", vals)

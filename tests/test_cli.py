@@ -354,6 +354,29 @@ def test_bad_configs_exit_2(tmp_path, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ([], "config must be a JSON object"),
+    (3, "config must be a JSON object"),
+    ({"params": [1]}, "params must be a JSON object"),
+    ({"grid": 3}, "grid must be a JSON object"),
+    ({"sweep": "x"}, "sweep must be a JSON object"),
+    ({"sweep": {"tolerances": [1]}}, "sweep.tolerances must be a JSON object"),
+    ({"bogus": 1}, "unknown config keys: ['bogus']"),
+    ({"params": {"rho_crit": 1}}, "unknown params keys: ['rho_crit']"),
+    ({"grid": {"npoints": 1001}}, "unknown grid keys: ['npoints']"),
+    ({"sweep": {"deltas": [1]}}, "unknown sweep keys: ['deltas']"),
+    ({"sweep": {"tolerances": {"nope": 0.1}}}, "unknown sweep.tolerances keys: ['nope']"),
+    # the sweep's grid is the top-level one
+    ({"sweep": {"grid": {"n_points": 1001}}}, "unknown sweep keys: ['grid']"),
+], ids=["top-list", "top-int", "params", "grid", "sweep", "tolerances", "unknown-top",
+        "unknown-params", "unknown-grid", "unknown-sweep", "unknown-tolerances", "sweep-grid"])
+def test_malformed_config_objects_are_named(tmp_path, config, message):
+    proc, out = run_cli(tmp_path, "profile", config=config)
+    assert proc.returncode == 2
+    assert proc.stderr == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def _config_documents():
     """JSON config documents: mostly the real layout, with any JSON value
     (NaN, Infinity, huge integers, bools, strings, nesting) in its slots."""

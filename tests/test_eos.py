@@ -78,13 +78,20 @@ def test_gradient_form_whose_determinant_overflows_is_refused():
 
 
 def test_validate_params_rejects_unknown_keys():
-    with pytest.raises(InvalidConfig, match="unknown parameter"):
+    with pytest.raises(InvalidConfig, match="unknown params keys"):
         validate_params({"A": 1.0, "rho_crit": 1.0})
+
+
+@pytest.mark.parametrize("raw", [None, "A", 3])
+def test_validate_params_refuses_what_is_no_json_object(raw):
+    with pytest.raises(InvalidConfig, match="^params must be a JSON object$"):
+        validate_params(raw)
 
 
 def test_check_keys_names_every_unknown_key_sorted():
     # keys of mixed types sort by their text, so no comparison raises
-    check_keys({"A": 1.0}, ["A", "B"], "parameter")
+    raw = {"A": 1.0}
+    assert check_keys(raw, ["A", "B"], "params") is raw
     with pytest.raises(InvalidConfig, match=r"^unknown grid keys: \[1, 'x', 'y'\]$"):
         check_keys({"y": 0, 1: 0, "x": 0, "A": 0}, ["A"], "grid")
 
@@ -230,6 +237,27 @@ def test_hessian_matches_differenced_partials():
     gr_m, gs_m = bulk_energy_partials(P0, rho, s - step)
     np.testing.assert_allclose(hrs, (gr_p - gr_m) / (2 * step), rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(hss, (gs_p - gs_m) / (2 * step), rtol=1e-6, atol=1e-8)
+
+
+def test_delta_t_forms_are_the_profile_equations_bulk_terms_free_of_the_gauge():
+    # the profile equations' bulk terms d(rho*alpha)/drho - s*T0 - mu_c and
+    # d(rho*alpha)/ds - rho*T0, and their Hessian, read the undercooling only:
+    # the gauge constants mu_c, T_c and p_c leave them bitwise unchanged
+    rho, s = state_grid()
+    dt = 0.01
+    T0 = P0.T_c - dt
+    gr, gs = bulk_energy_partials(P0, rho, s)
+    tr, ts = bulk_energy_partials(P0, rho, s, dt)
+    np.testing.assert_allclose(tr, gr - s * T0 - P0.mu_c, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(ts, gs - rho * T0, rtol=0, atol=1e-15)
+    hrr, hrs, hss = bulk_energy_hessian(P0, rho, s)
+    trr, trs, tss = bulk_energy_hessian(P0, rho, s, dt)
+    assert np.array_equal(trr, hrr) and np.array_equal(tss, hss)
+    np.testing.assert_allclose(trs, hrs - T0, rtol=0, atol=1e-15)
+    gauged = FluidParams(mu_c=1e6, T_c=1e6, p_c=1e6)
+    for f in (bulk_energy_partials, bulk_energy_hessian):
+        for a, b in zip(f(gauged, rho, s, dt), f(P0, rho, s, dt)):
+            assert np.array_equal(a, b), f.__name__
 
 
 def test_partials_match_expanded_polynomial_form():

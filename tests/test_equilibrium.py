@@ -92,6 +92,16 @@ def test_grid_config_boundary_values_are_accepted():
     assert g.n_points == 51
 
 
+def test_grid_config_takes_any_integer_node_count_as_an_int():
+    # a numpy integer is an integer, as a numpy float is a number for the
+    # width; a bool, a float or a string is still no node count
+    g = GridConfig(n_points=np.int64(1001))
+    assert type(g.n_points) is int and g.n_points == 1001
+    for value in (True, 1001.0, "1001"):
+        with pytest.raises(InvalidConfig, match="n_points must be an odd integer"):
+            GridConfig(n_points=value)
+
+
 def test_profile_validation():
     y = np.linspace(-1.0, 1.0, 11)
     rho = np.full(11, P0.rho_c)
@@ -542,8 +552,7 @@ def test_wide_enough_box_converges_to_the_unpinned_tension(p, dt, grid, sigma_qu
 def test_full_solve_follows_the_critical_potential():
     # mu_c enters the energy as mu_c*rho and the density equation as -mu_c,
     # so a shifted mu_c must leave the solved profile where it was (up to the
-    # rounding-level drift the near-free translation mode allows); a residual
-    # that dropped or fixed the constant would not converge to it
+    # rounding-level drift the near-free translation mode allows)
     shifted = FluidParams(mu_c=0.7)
     prof, _ = solve_full_bvp(P0, BC)
     prof_shifted, report = solve_full_bvp(shifted, BC)
@@ -552,6 +561,25 @@ def test_full_solve_follows_the_critical_potential():
     np.testing.assert_allclose(prof_shifted.s, prof.s, rtol=0, atol=1e-8)
     closed = closed_profile(shifted, BC)
     assert np.max(np.abs(reduced_residual(shifted, BC, closed))) < 1e-7
+
+
+@pytest.mark.parametrize("gauge", [{"mu_c": 1e6}, {"T_c": 1e6},
+                                   {"mu_c": -3.0, "T_c": 7.0, "p_c": 1e6}],
+                         ids=["mu_c", "T_c", "all"])
+@pytest.mark.parametrize("n", [1001, 16001])
+@pytest.mark.parametrize("dt", [1e-1, 1e-4])
+def test_full_solve_depends_on_the_gauge_constants_only_through_delta_t(gauge, n, dt):
+    # mu_c, T_c and p_c only reproduce the critical state: the equations
+    # read delta_t alone, so large constants may not cost digits (formed from
+    # the gauge-full energy, mu_c = 1e6 rounds the residual above _TOL)
+    grid = GridConfig(n_points=n)
+    prof, report = solve_full_bvp(P0, bulk_conditions(P0, delta_t=dt), grid)
+    p = FluidParams(**gauge)
+    prof_gauged, report_gauged = solve_full_bvp(p, bulk_conditions(p, delta_t=dt), grid)
+    assert (report_gauged.iterations, report_gauged.seed_iterations) == (
+        report.iterations, report.seed_iterations)
+    np.testing.assert_allclose(prof_gauged.rho, prof.rho, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(prof_gauged.s, prof.s, rtol=0, atol=1e-12)
 
 
 def test_decoupled_gradient_energy_reduces_to_single_field():
