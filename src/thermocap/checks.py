@@ -4,13 +4,17 @@ Each check compares two independent routes to one quantity (analytic
 derivatives against finite differences, closed forms against quadrature
 and the Newton solver, the celerity closed form against the determinant
 root) on seeded random samples, and records the worst discrepancy next to
-its threshold.  Every sampled undercooling runs from the config's delta_t
-down to three decades below it, so each sample lies inside the config's
-own coexistence bracket; below delta_t ~ 1e-29 that floor no longer
-separates the two bulk densities in floating point.
+its threshold.  The eos rows certify the delta_t forms of the bulk terms
+that the solver uses, in which mu_c, T_c and p_c cancel exactly.  Each
+sampled undercooling lies between the config's delta_t and three decades
+below it, inside the config's own coexistence bracket; below delta_t ~
+1e-29 that floor no longer separates the two bulk densities in floating point.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -50,32 +54,34 @@ def run_checks(p: FluidParams, bc: BulkConditions, grid: GridConfig,
     s = eos.entropy_slave(p, rho, dts) * rng.uniform(0.5, 1.5, n)
 
     def central(f, d_rho, d_s):
-        # central differences of f's output (arrays stacked) in rho and in s
+        # central differences of f(rho, s)'s output (arrays stacked) in rho and in s
         def step(dr, ds):
-            return np.asarray(f(p, rho + dr, s + ds)) - np.asarray(f(p, rho - dr, s - ds))
+            return np.asarray(f(rho + dr, s + ds)) - np.asarray(f(rho - dr, s - ds))
         return step(d_rho, 0.0) / (2.0 * d_rho), step(0.0, d_s) / (2.0 * d_s)
 
+    # the delta_t forms (mu - mu_c, rho*(T - T0)) are the bulk terms the
+    # solver uses; at delta_t = T_c (T0 = 0) they are the partials of
+    # rho*alpha - mu_c*rho, differenced here without mu_c and p_c, whose
+    # affine terms would only add rounding to the quotient
     h_rho = 6e-6 * np.maximum(1.0, np.abs(rho))
     h_s = 6e-6 * np.maximum(1.0, np.abs(s))
-    fd_rho, fd_s = central(eos.bulk_energy, h_rho, h_s)
+    fd_rho, fd_s = central(partial(eos.bulk_energy, replace(p, mu_c=0.0, p_c=0.0)), h_rho, h_s)
     record("eos-partials-vs-finite-difference",
-           _worst([fd_rho, fd_s], eos.bulk_energy_partials(p, rho, s)), 1e-6)
-    fd_rho, fd_s = central(eos.bulk_energy_partials, h_rho, h_s)
+           _worst([fd_rho, fd_s], eos.bulk_energy_partials(p, rho, s, p.T_c)), 1e-6)
+    fd_rho, fd_s = central(partial(eos.bulk_energy_partials, p, delta_t=dts), h_rho, h_s)
     record("eos-hessian-vs-finite-difference",
-           _worst([fd_rho[0], *fd_s], eos.bulk_energy_hessian(p, rho, s)), 1e-6)
+           _worst([fd_rho[0], *fd_s], eos.bulk_energy_hessian(p, rho, s, dts)), 1e-6)
 
-    mu_full = eos.chemical_potential_full(p, rho, eos.entropy_slave(p, rho, dts), p.T_c - dts)
+    mu = eos.bulk_energy_partials(p, rho, eos.entropy_slave(p, rho, dts), dts)[0] + p.mu_c
     record("slaved-chemical-potential-identity",
-           _worst(mu_full, eos.chemical_potential_cubic(p, rho, dts)), 1e-12)
+           _worst(mu, eos.chemical_potential_cubic(p, rho, dts)), 1e-12)
 
+    # both delta_t terms vanish at both states: |mu - mu_c| and |T - T0|
     worst = 0.0
     for dt in bc.delta_t * 10.0 ** -np.arange(4.0):
-        bc_i = bulk_conditions(p, delta_t=dt)
-        for st in equilibrium.bulk_states(p, bc_i):
-            worst = max(worst,
-                        abs(float(eos.temperature(p, st.rho, st.s)) - bc_i.T0),
-                        abs(float(eos.chemical_potential_full(p, st.rho, st.s, bc_i.T0))
-                            - p.mu_c))
+        for st in equilibrium.bulk_states(p, bulk_conditions(p, delta_t=dt)):
+            d_rho, d_s = eos.bulk_energy_partials(p, st.rho, st.s, dt)
+            worst = max(worst, abs(d_rho), abs(d_s / st.rho))
     record("bulk-states-at-coexistence", worst, 1e-12)
 
     prof = equilibrium.closed_profile(p, bc, grid)

@@ -344,7 +344,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-    except (InvalidConfig, TypeError, ValueError, OSError) as exc:  # ValueError covers bad JSON
+    # ValueError covers bad JSON, RecursionError JSON nested past the interpreter's limit
+    except (InvalidConfig, TypeError, ValueError, OSError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

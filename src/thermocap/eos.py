@@ -73,12 +73,8 @@ class FluidParams:
         read_fields(self, "params")
         for name in ("A", "B", "rho_c", "T_c"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise NonPositiveConstant(f"{name} must be finite and > 0, got {value!r}")
-        for name in ("mu_c", "p_c", "C", "D", "E"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidConfig(f"{name} must be finite, got {value!r}")
+            if value <= 0.0:
+                raise NonPositiveConstant(f"{name} must be > 0, got {value!r}")
         if self.C <= 0.0:
             raise IndefiniteGradientForm(f"C must be > 0, got {self.C!r}")
         det = self.C * self.E - self.D * self.D
@@ -88,18 +84,21 @@ class FluidParams:
 
 
 def read_number(value, where: str) -> float:
-    """A real number as a float, or InvalidConfig naming where it came from.
+    """A finite real number as a float, or InvalidConfig naming where it came from.
 
     Bools (an int subclass), strings and other non-numbers are refused, as
-    are integers beyond the float range, so no config value is coerced
-    without notice.
+    are integers beyond the float range and NaN or infinite values (JSON's
+    NaN, Infinity and 1e400), so no config value is coerced without notice.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidConfig(f"{where} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:  # an integer literal beyond the float range
         raise InvalidConfig(f"{where} is out of range: {value!r}") from None
+    if not math.isfinite(number):
+        raise InvalidConfig(f"{where} must be finite, got {number!r}")
+    return number
 
 
 def check_keys(raw, allowed, where: str) -> Mapping:
@@ -165,8 +164,7 @@ class BulkConditions:
 
     def __post_init__(self):
         for name in ("T0", "delta_t"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidConfig(f"{name} must be finite")
+            object.__setattr__(self, name, read_number(getattr(self, name), name))
         if self.delta_t < 0.0:
             raise InvalidConfig(
                 f"temperatures above critical are not modeled: delta_t = {self.delta_t!r} < 0"
@@ -181,9 +179,7 @@ def bulk_conditions(p: FluidParams, *, delta_t: float | None = None,
     if delta_t is None:
         T0 = read_number(T0, "T0")
         return BulkConditions(T0=T0, delta_t=p.T_c - T0)
-    delta_t = read_number(delta_t, "delta_t")
-    if not math.isfinite(delta_t):  # else the derived T0 would take the blame
-        raise InvalidConfig(f"delta_t must be finite, got {delta_t!r}")
+    delta_t = read_number(delta_t, "delta_t")  # so a bad delta_t, not the T0 from it, is named
     return BulkConditions(T0=p.T_c - delta_t, delta_t=delta_t)
 
 

@@ -103,7 +103,7 @@ class GridConfig:
         if self.n_points > _MAX_POINTS:
             raise InvalidConfig(f"n_points must be <= {_MAX_POINTS} (a full solve "
                                 "needs about 600 B per node)")
-        if not (math.isfinite(self.half_width_in_zeta) and self.half_width_in_zeta >= 8.0):
+        if self.half_width_in_zeta < 8.0:
             raise InvalidConfig(
                 f"half_width_in_zeta must be >= 8, got {self.half_width_in_zeta!r}"
             )
@@ -255,6 +255,9 @@ def closed_profile(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
     """Tanh density front with slaved entropy on the requested grid."""
     zeta = interface_width(p, bc)
     h = 2.0 * g.half_width_in_zeta * zeta / (g.n_points - 1)
+    if not math.isfinite(h):  # a finite h keeps every node |y| <= h * (n - 1) / 2 finite
+        raise InvalidConfig(f"grid end half_width_in_zeta * zeta = {g.half_width_in_zeta!r} "
+                            f"* {zeta!r} overflows")
     # build y as exact integer multiples of h so the midpoint is exactly 0
     y = h * (np.arange(g.n_points, dtype=float) - (g.n_points - 1) // 2)
     liquid, vapor = bulk_states(p, bc)

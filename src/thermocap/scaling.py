@@ -93,8 +93,8 @@ class SweepConfig:
         if len(vals) < 4:
             raise InvalidConfig(
                 f"sweep needs at least 4 undercoolings, got {len(vals)}")
-        if not all(math.isfinite(v) and v > 0.0 for v in vals):
-            raise InvalidConfig("sweep undercoolings must be finite and > 0")
+        if not all(v > 0.0 for v in vals):
+            raise InvalidConfig("sweep undercoolings must be > 0")
         if not all(a > b for a, b in zip(vals, vals[1:])):
             raise InvalidConfig("sweep undercoolings must be strictly decreasing")
         if vals[0] / vals[-1] < 100.0 * (1.0 - 1e-12):
@@ -103,9 +103,9 @@ class SweepConfig:
         tols = {law: read_number(tol, f"sweep.tolerances.{law}")
                 for law, tol in self.tolerances.items()}
         object.__setattr__(self, "tolerances", types.MappingProxyType(tols))  # read-only copy
-        bad = {law: tol for law, tol in tols.items() if not (math.isfinite(tol) and tol > 0.0)}
+        bad = {law: tol for law, tol in tols.items() if tol <= 0.0}
         if bad:
-            raise InvalidConfig(f"sweep tolerances must be finite and > 0, got {bad}")
+            raise InvalidConfig(f"sweep tolerances must be > 0, got {bad}")
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,21 @@ def test_check_passes_where_the_probe_speed_meets_the_root(tmp_path):
     assert entry["passed"] and entry["threshold"] == 1e-12
 
 
+@pytest.mark.parametrize("params", [
+    {"mu_c": 1e4}, {"mu_c": 1e6}, {"T_c": 1e6}, {"p_c": 1e6},
+    {"mu_c": -3.0, "T_c": 7.0, "p_c": 1e6},
+], ids=["mu_c=1e4", "mu_c=1e6", "T_c=1e6", "p_c=1e6", "combined"])
+def test_check_passes_at_gauge_constants_the_solver_answers(tmp_path, capsys, params):
+    # mu_c, T_c and p_c only reproduce the critical state; check judges the
+    # delta_t forms the solver uses, so it passes wherever the full profile does
+    from thermocap import cli
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"params": params}))
+    assert cli.main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "13/13 checks passed"
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -377,6 +392,43 @@ def test_malformed_config_objects_are_named(tmp_path, config, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, text, message", [
+    (["profile"], '{"params": {"A": NaN}}', "params.A must be finite, got nan"),
+    (["profile"], '{"params": {"D": -Infinity}}', "params.D must be finite, got -inf"),
+    (["profile"], '{"grid": {"half_width_in_zeta": Infinity}}',
+     "grid.half_width_in_zeta must be finite, got inf"),
+    (["profile"], '{"delta_T": 1e400}', "delta_t must be finite, got inf"),
+    (["profile"], '{"T0": NaN}', "T0 must be finite, got nan"),
+    (["sweep"], '{"sweep": {"delta_t_values": [0.1, 0.01, NaN, 0.0001]}}',
+     "sweep.delta_t_values[2] must be finite, got nan"),
+    (["sweep"], '{"sweep": {"tolerances": {"sigma": -Infinity}}}',
+     "sweep.tolerances.sigma must be finite, got -inf"),
+    (["celerity", "--locus", "rho=inf", "a=0", "g2=1e-9"], "{}",
+     "locus.rho must be finite, got inf"),
+], ids=["params.A", "params.D", "half_width", "delta_T", "T0", "delta_t_values",
+        "tolerance", "locus"])
+def test_non_finite_config_numbers_are_named(tmp_path, capsys, args, text, message):
+    # JSON's NaN, Infinity and 1e400 all reach the one number reader
+    from thermocap import cli
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert cli.main([*args, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_nested_past_the_recursion_limit_is_a_config_error(tmp_path, capsys):
+    # json.dumps cannot build this document, so its text is written directly
+    from thermocap import cli
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["profile", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: maximum recursion depth")
+    assert not (tmp_path / "out").exists()
+
+
 def _config_documents():
     """JSON config documents: mostly the real layout, with any JSON value
     (NaN, Infinity, huge integers, bools, strings, nesting) in its slots."""
@@ -418,6 +470,8 @@ def _config_documents():
 # named only on stdout), and check at that undercooling exits 3
 @example(command="sweep", doc={"params": {"A": 1.0, "B": 0.0625}})
 @example(command="check", doc={"params": {"A": 1.0, "B": 0.0625}, "delta_T": 0.1})
+# the node coordinates of this box overflow; closed_profile refuses it
+@example(command="profile", doc={"grid": {"half_width_in_zeta": 1e308}})
 def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, capsys, command, doc):
     # every config document, however malformed, ends in exit 0/2/3/4 with
     # the error named on stderr, never in an uncaught exception; a failed

@@ -26,6 +26,7 @@ from thermocap import (
     temperature,
     validate_params,
 )
+from thermocap.checks import run_checks
 from thermocap.eos import BulkConditions, bulk_energy_hessian, check_keys, enthalpy
 from thermocap.equilibrium import GridConfig, bulk_states
 from thermocap.errors import (
@@ -154,7 +155,8 @@ def _constructor_calls():
         call(SweepConfig, {"delta_t_values": sweep_values, "tolerances": tolerances,
                            "use_full_solver": st.booleans() | json_like}),
         call(WaveLocus, {"rho": numbers, "grad_s_normal": numbers, "grad_s_tg_sq": numbers},
-             required=("rho", "grad_s_normal", "grad_s_tg_sq")))
+             required=("rho", "grad_s_normal", "grad_s_tg_sq")),
+        call(BulkConditions, {"T0": numbers, "delta_t": numbers}, required=("T0", "delta_t")))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -258,6 +260,18 @@ def test_delta_t_forms_are_the_profile_equations_bulk_terms_free_of_the_gauge():
     for f in (bulk_energy_partials, bulk_energy_hessian):
         for a, b in zip(f(gauged, rho, s, dt), f(P0, rho, s, dt)):
             assert np.array_equal(a, b), f.__name__
+
+
+def test_check_certifies_the_delta_t_forms_at_any_gauge():
+    # check's eos rows judge the delta_t forms, in which the gauge constants
+    # cancel exactly, so constants of 1e12 leave each row two decades below
+    # its threshold
+    p = FluidParams(mu_c=1e12, T_c=1e12, p_c=1e12)
+    rows = {c["name"]: c for c in run_checks(p, bulk_conditions(p, delta_t=0.01),
+                                             GridConfig(), 0)}
+    for name in ("eos-partials-vs-finite-difference", "eos-hessian-vs-finite-difference",
+                 "slaved-chemical-potential-identity", "bulk-states-at-coexistence"):
+        assert rows[name]["metric"] <= 1e-2 * rows[name]["threshold"], rows[name]
 
 
 def test_partials_match_expanded_polynomial_form():

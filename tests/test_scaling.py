@@ -176,10 +176,10 @@ def test_tolerance_overrides_change_the_verdict():
 
 @pytest.mark.parametrize("tolerances, match", [
     ({"not_a_law": 0.1}, "unknown sweep.tolerances keys"),
-    ({"sigma": 0.0}, "finite and > 0"),
-    ({"sigma": -1.0}, "finite and > 0"),
-    ({"sigma": math.inf}, "finite and > 0"),
-    ({"sigma": math.nan}, "finite and > 0"),
+    ({"sigma": 0.0}, "must be > 0"),
+    ({"sigma": -1.0}, "must be > 0"),
+    ({"sigma": math.inf}, r"sweep\.tolerances\.sigma must be finite"),
+    ({"sigma": math.nan}, r"sweep\.tolerances\.sigma must be finite"),
 ])
 def test_sweep_config_refuses_tolerances_that_cannot_judge(tolerances, match):
     with pytest.raises(InvalidConfig, match=match):
