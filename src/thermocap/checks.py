@@ -5,10 +5,11 @@ derivatives against finite differences, closed forms against quadrature
 and the Newton solver, the celerity closed form against the determinant
 root) on seeded random samples, and records the worst discrepancy next to
 its threshold.  The eos rows certify the delta_t forms of the bulk terms
-that the solver uses, in which mu_c, T_c and p_c cancel exactly.  Each
-sampled undercooling lies between the config's delta_t and three decades
-below it, inside the config's own coexistence bracket; below delta_t ~
-1e-29 that floor no longer separates the two bulk densities in floating point.
+that the solver uses, in which mu_c, T_c and p_c cancel exactly; the
+profile and stress rows add none of them.  Each sampled undercooling lies
+between the config's delta_t and three decades below it, inside the
+config's own coexistence bracket; below delta_t ~ 1e-29 that floor no
+longer separates the two bulk densities in floating point.
 """
 
 from __future__ import annotations

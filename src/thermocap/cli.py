@@ -349,7 +349,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        code, artifacts = args.handler(cfg)
+        # numpy raises FloatingPointError where it would warn, as Python floats do
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            code, artifacts = args.handler(cfg)
         _publish(cfg, artifacts)
         return code
     except InvalidConfig as exc:
@@ -362,7 +364,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_NUMERICAL
     except (ArithmeticError, MemoryError) as exc:
         # a closed form overflowing at extreme constants (a float ** raises
-        # where * would return inf), or a grid the machine cannot allocate
+        # where * would return inf), a numpy overflow or division by zero, or
+        # a grid the machine cannot allocate
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -185,15 +185,21 @@ def bulk_conditions(p: FluidParams, *, delta_t: float | None = None,
 
 # ---------------------------------------------------------------------------
 # Bulk energy and its derivatives.  Everything below is written in terms of
-# m = rho - rho_c, eta = rho*s and W = A*m^2 + eta, which keeps the algebra
-# identical to the hand derivation used for the frozen test values.
+# m = rho - rho_c, eta = rho*s and W = A*m^2 + eta, computed once by
+# _quartic, which keeps the algebra identical to the hand derivation used
+# for the frozen test values.
 # ---------------------------------------------------------------------------
+
+def _quartic(p: FluidParams, rho, s):
+    """(m, eta, W): the variables the quartic energy is written in."""
+    m = rho - p.rho_c
+    eta = rho * s
+    return m, eta, p.A * m * m + eta
+
 
 def bulk_energy(p: FluidParams, rho, s):
     """Volumetric internal energy rho*alpha of the homogeneous fluid."""
-    m = rho - p.rho_c
-    eta = rho * s
-    W = p.A * m * m + eta
+    _, eta, W = _quartic(p, rho, s)
     return (p.B / (2.0 * p.A**2)) * (W * W + eta * eta) + p.mu_c * rho + p.T_c * eta - p.p_c
 
 
@@ -202,9 +208,7 @@ def bulk_energy_partials(p: FluidParams, rho, s, delta_t=None):
 
     Given delta_t, those of rho*alpha - mu_c*rho - T0*rho*s, T0 = T_c - delta_t,
     the profile equations' bulk terms: mu_c and T_c cancel exactly, not in rounding."""
-    m = rho - p.rho_c
-    eta = rho * s
-    W = p.A * m * m + eta
+    m, eta, W = _quartic(p, rho, s)
     coef = p.B / p.A**2
     d_rho = coef * (W * (2.0 * p.A * m + s) + eta * s)
     d_s = coef * rho * (W + eta)
@@ -220,9 +224,7 @@ def bulk_energy_hessian(p: FluidParams, rho, s, delta_t=None):
     T0).  Needed analytically by the Newton solver of the coupled profile
     system; checked against finite differences in the tests.
     """
-    m = rho - p.rho_c
-    eta = rho * s
-    W = p.A * m * m + eta
+    m, eta, W = _quartic(p, rho, s)
     coef = p.B / p.A**2
     g = 2.0 * p.A * m + s
     h_rr = coef * (g * g + 2.0 * p.A * W + s * s)
@@ -233,8 +235,7 @@ def bulk_energy_hessian(p: FluidParams, rho, s, delta_t=None):
 
 def temperature(p: FluidParams, rho, s):
     """Absolute temperature T = (1/rho) d(rho*alpha)/ds."""
-    m = rho - p.rho_c
-    return (p.B / p.A**2) * (p.A * m * m + 2.0 * rho * s) + p.T_c
+    return bulk_energy_partials(p, rho, s)[1] / rho
 
 
 def enthalpy(p: FluidParams, rho, s):
@@ -243,8 +244,11 @@ def enthalpy(p: FluidParams, rho, s):
 
 
 def pressure(p: FluidParams, rho, s):
-    """Thermodynamic pressure of the bulk, P = rho*h0 - rho*alpha."""
-    return rho * enthalpy(p, rho, s) - bulk_energy(p, rho, s)
+    """Thermodynamic pressure of the bulk, P = rho*h0 - rho*alpha, written without the
+    mu_c and T_c terms of h0 and rho*alpha, which cancel in P exactly, not in rounding."""
+    _, eta, W = _quartic(p, rho, s)
+    return (rho * bulk_energy_partials(p, rho, s, 0.0)[0]  # h0 - mu_c - T_c*s
+            - (p.B / (2.0 * p.A**2)) * (W * W + eta * eta) + p.p_c)
 
 
 def chemical_potential_full(p: FluidParams, rho, s, T0):

@@ -45,7 +45,6 @@ from .eos import (
     ThermoState,
     bulk_energy_hessian,
     bulk_energy_partials,
-    chemical_potential_cubic,
     entropy_slave,
     pressure,
     read_fields,
@@ -326,8 +325,8 @@ def reduced_residual(p: FluidParams, bc: BulkConditions, prof: Profile) -> np.nd
     _own_conditions(bc, prof)
     m = prof.rho - p.rho_c
     d2 = second_derivative_4th(m, prof.h)
-    rhs = chemical_potential_cubic(p, prof.rho[2:-2], bc.delta_t) - p.mu_c
-    return p.C * d2 - rhs
+    m = m[2:-2]
+    return p.C * d2 - (p.B * m**3 - p.A * bc.delta_t * m)
 
 
 def first_integral_residual(p: FluidParams, bc: BulkConditions, prof: Profile) -> np.ndarray:
@@ -698,7 +697,9 @@ def equilibrium_stress_residual(p: FluidParams, prof: Profile) -> float:
     this is a cross-module certificate: it is small only if the profile
     solves the momentum balance at rest.
     """
-    y, sigma_yy = stress_yy_profile(p, prof)
+    # p_c is a constant term of sigma_yy, which the derivative drops: it is
+    # left out, not added to be cancelled
+    y, sigma_yy = stress_yy_profile(replace(p, p_c=0.0), prof)
     dsigma = derivative_4th(sigma_yy, prof.h)
     return float(np.max(np.abs(dsigma)))
 

@@ -274,15 +274,17 @@ def _solve_row(p: FluidParams, cfg: SweepConfig, delta_t: float) -> SweepRow:
 def run_sweep(p: FluidParams, cfg: SweepConfig) -> ScalingReport:
     """Measure all observables across the configured undercoolings.
 
-    A failure at one undercooling marks that row with the error message and
-    the sweep continues; fits use the surviving rows, and verify_exponents
-    fails the report for the failed ones.  Each fit carries the tolerance it
-    is judged by, the configured override where there is one.
+    A model error at one undercooling marks that row with its message and
+    the sweep continues (an invalid config raises); fits use the surviving
+    rows, and verify_exponents fails the report for the failed ones.  Each
+    fit carries the tolerance it is judged by, the configured override where there is one.
     """
     rows = []
     for delta_t in cfg.delta_t_values:
         try:
             rows.append(_solve_row(p, cfg, delta_t))
+        except InvalidConfig:  # the config's fault, not this undercooling's
+            raise
         except ModelError as exc:
             rows.append(SweepRow(delta_t=delta_t, error=f"{type(exc).__name__}: {exc}"))
     good = [r for r in rows if r.error is None]

@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -214,6 +215,24 @@ def test_profile_full_refuses_a_box_too_short_for_the_front(tmp_path):
     assert not (out / "observables.json").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ("profile",), ("profile", "--full"), ("sweep",), ("sweep", "--full"), ("check",),
+])
+def test_a_box_overflowing_the_grid_is_a_config_error_for_every_command(
+        tmp_path, capsys, args):
+    # a box that no undercooling can hold is the config's fault, so sweep
+    # refuses it as the others do rather than failing each of its rows
+    from thermocap import cli
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"grid": {"half_width_in_zeta": 1e308}}))
+    out = tmp_path / "out"
+    assert cli.main([*args, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: grid end half_width_in_zeta * zeta = 1e+308 * ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -278,7 +297,8 @@ def test_check_passes_where_the_probe_speed_meets_the_root(tmp_path):
 @pytest.mark.parametrize("params", [
     {"mu_c": 1e4}, {"mu_c": 1e6}, {"T_c": 1e6}, {"p_c": 1e6},
     {"mu_c": -3.0, "T_c": 7.0, "p_c": 1e6},
-], ids=["mu_c=1e4", "mu_c=1e6", "T_c=1e6", "p_c=1e6", "combined"])
+    {"mu_c": 1e9}, {"mu_c": 1e12, "T_c": 1e12, "p_c": 1e12},
+], ids=["mu_c=1e4", "mu_c=1e6", "T_c=1e6", "p_c=1e6", "combined", "mu_c=1e9", "all=1e12"])
 def test_check_passes_at_gauge_constants_the_solver_answers(tmp_path, capsys, params):
     # mu_c, T_c and p_c only reproduce the critical state; check judges the
     # delta_t forms the solver uses, so it passes wherever the full profile does
@@ -685,6 +705,27 @@ def test_unanswerable_profiles_exit_3(tmp_path, capsys, config, message):
     assert cli.main(["profile", "--config", str(cfg), "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("locus", [
+    ("rho=1", "a=0", "g2=1e308"),
+    ("rho=1", "a=0", "g2=5e-324"),
+    ("rho=1e-308", "a=0", "g2=1e308"),
+])
+def test_numpy_overflow_at_an_extreme_locus_exits_3(tmp_path, capsys, locus):
+    # numpy raises where it would warn, so an overflow or a division by zero
+    # is a numerical failure with warnings as errors or not, never a traceback
+    # or a misleading message from the nan it leaves behind
+    from thermocap import cli
+
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["celerity", "--locus", *locus, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: FloatingPointError: ")
+    assert "RuntimeWarning" not in err
+    assert not out.exists()
 
 
 def test_allocation_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -260,18 +260,27 @@ def test_delta_t_forms_are_the_profile_equations_bulk_terms_free_of_the_gauge():
     for f in (bulk_energy_partials, bulk_energy_hessian):
         for a, b in zip(f(gauged, rho, s, dt), f(P0, rho, s, dt)):
             assert np.array_equal(a, b), f.__name__
+    # nor do mu_c and T_c move the pressure, in which they cancel
+    assert np.array_equal(pressure(FluidParams(mu_c=1e6, T_c=1e6), rho, s),
+                          pressure(P0, rho, s))
 
 
 def test_check_certifies_the_delta_t_forms_at_any_gauge():
     # check's eos rows judge the delta_t forms, in which the gauge constants
     # cancel exactly, so constants of 1e12 leave each row two decades below
-    # its threshold
+    # its threshold; the profile and stress rows never add them, so they read
+    # the reference gauge's metrics bit for bit
     p = FluidParams(mu_c=1e12, T_c=1e12, p_c=1e12)
     rows = {c["name"]: c for c in run_checks(p, bulk_conditions(p, delta_t=0.01),
                                              GridConfig(), 0)}
+    assert len(rows) == 13 and all(c["passed"] for c in rows.values()), rows
     for name in ("eos-partials-vs-finite-difference", "eos-hessian-vs-finite-difference",
                  "slaved-chemical-potential-identity", "bulk-states-at-coexistence"):
         assert rows[name]["metric"] <= 1e-2 * rows[name]["threshold"], rows[name]
+    reference = {c["name"]: c for c in run_checks(P0, bulk_conditions(P0, delta_t=0.01),
+                                                  GridConfig(), 0)}
+    for name in ("profile-equation-residual", "equilibrium-stress-residual"):
+        assert rows[name]["metric"] == reference[name]["metric"], name
 
 
 def test_partials_match_expanded_polynomial_form():

@@ -217,6 +217,13 @@ def test_sweep_isolates_row_failures():
     assert summary.all_passed is False
 
 
+def test_sweep_raises_a_config_error_instead_of_failing_rows():
+    # a box overflowing every row's grid is the config's fault, not a row's
+    cfg = SweepConfig(grid=GridConfig(half_width_in_zeta=1e308))
+    with pytest.raises(InvalidConfig, match="overflows"):
+        run_sweep(P0, cfg)
+
+
 def test_a_failed_row_fails_the_verdict():
     # every fit still passes after the last row is swapped for a failed one,
     # so only the row count can flag the missing undercooling
