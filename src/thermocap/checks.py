@@ -38,6 +38,9 @@ def run_checks(p: FluidParams, bc: BulkConditions, grid: GridConfig,
 
     The seed drives all sampling, so a seed fixes every metric bit for bit.
     """
+    # a config without a coexistence raises bulk_states' error, as profile
+    # does, before an overflow in the sampled states could name another
+    equilibrium.bulk_states(p, bc)
     rng = np.random.default_rng(seed)
     checks: list[dict] = []
 

@@ -18,10 +18,13 @@ quantity being diagnosed.
 
 Each Newton step is one direct LAPACK dgbsv call on a Fortran-ordered band
 buffer that the Jacobian is assembled into, so the binding hands LAPACK the
-buffer itself, with no copy or transpose.  Only the full route needs scipy,
-and only for that LAPACK routine: on first use it loads scipy's compiled
-extension scipy.linalg._flapack on its own (see _dgbsv), never the scipy
-or scipy.linalg packages, so no route pays the scipy.linalg import.  The
+buffer itself, with no copy or transpose.  Each grid node owns 20
+contiguous doubles of that buffer; the assembly lays one per-node pattern
+of the constant neighbour blocks over all of them, then writes the
+iterate's diagonal blocks.  Only the full route needs scipy, and only for
+that LAPACK routine: on first use it loads scipy's compiled extension
+scipy.linalg._flapack on its own (see _dgbsv), never the scipy or
+scipy.linalg packages, so no route pays the scipy.linalg import.  The
 loader leaves no module behind in sys.modules, so a later import of
 scipy.linalg binds the extension as usual, with the same routine objects.
 """
@@ -82,7 +85,7 @@ __all__ = [
 ]
 
 
-# the largest grid: a full solve peaks near 600 B per node, about 600 MB here
+# the largest grid: a full solve peaks near 400 B per node, about 400 MB here
 _MAX_POINTS = 1_000_001
 
 
@@ -101,7 +104,7 @@ class GridConfig:
         object.__setattr__(self, "n_points", int(n))  # a numpy integer too
         if self.n_points > _MAX_POINTS:
             raise InvalidConfig(f"n_points must be <= {_MAX_POINTS} (a full solve "
-                                "needs about 600 B per node)")
+                                "needs about 400 B per node)")
         if self.half_width_in_zeta < 8.0:
             raise InvalidConfig(
                 f"half_width_in_zeta must be >= 8, got {self.half_width_in_zeta!r}"
@@ -408,53 +411,47 @@ def _dgbsv():
     return flapack.dgbsv
 
 
-def _place_block(ab: np.ndarray, d: int, block) -> None:
-    """Write a 2x2 block diagonal at block offset d into the gbsv band ab.
-
-    Unknowns interleave as (rho_1, s_1, rho_2, s_2, ...), so the block of
-    node k at offset d holds J[2k + r, 2(k + d) + c] = block[r][c], which
-    gbsv stores at ab[_KU + r - c - 2d, 2(k + d) + c].  Entries may be
-    scalars or arrays over the nodes that have a neighbour at offset d.
-    """
-    q = ab.shape[1] // 2
-    for r in range(2):
-        for c in range(2):
-            ab[_KU + r - c - 2 * d, 2 * max(d, 0) + c:2 * q + 2 * min(d, 0):2] = block[r][c]
-
-
-def _neighbour_band(p: FluidParams, q: int, h: float) -> np.ndarray:
-    """The Jacobian's constant part in LAPACK gbsv storage.
+def _band_pattern(p: FluidParams, h: float) -> np.ndarray:
+    """The Jacobian's constant part, one grid node's share of the gbsv buffer.
 
     gbsv wants a Fortran-ordered (2*kl + ku + 1, 2q) buffer whose first kl
     rows are workspace for the LU fill-in and whose remaining rows hold the
-    band.  The neighbour blocks [[C, D], [D, E]] / h^2 do not depend on the
-    iterate, so they are written once per solve; everything else is zero.
+    band, ab[kl + ku + i - j, j] = J[i, j].  Unknowns interleave as
+    (rho_1, s_1, rho_2, s_2, ...), so node k's columns 2k and 2k + 1 are 20
+    contiguous doubles, and J[2(k + e) + r, 2k + c] is slot
+    10c + 6 + 2e + r - c of them.  The neighbour blocks [[C, D], [D, E]] / h^2
+    (e = -1: slots 4, 5, 13, 14; e = +1: slots 8, 9, 17, 18) do not depend
+    on the iterate; every other slot is zero here.
     """
     c2 = 1.0 / (h * h)
-    buf = np.zeros((2 * _KL + _KU + 1, 2 * q), order="F")
-    for d in (-1, 1):
-        _place_block(buf[_KL:], d, [[p.C * c2, p.D * c2], [p.D * c2, p.E * c2]])
-    return buf
+    pattern = np.zeros(2 * (2 * _KL + _KU + 1))
+    pattern[[4, 5, 13, 14]] = pattern[[8, 9, 17, 18]] = (p.C * c2, p.D * c2, p.D * c2, p.E * c2)
+    return pattern
 
 
 def _coupled_jacobian_banded(p: FluidParams, bc: BulkConditions, rho: np.ndarray,
-                             s: np.ndarray, h: float, neighbours: np.ndarray,
+                             s: np.ndarray, h: float, pattern: np.ndarray,
                              out: np.ndarray) -> np.ndarray:
     """Banded (l = u = 3) Jacobian of _coupled_residual, LAPACK layout.
 
     Each grid node contributes a symmetric 2x2 block, so the matrix is
-    block-tridiagonal.  The return value is the band view out[3:] of a gbsv
-    buffer (see _neighbour_band), with ab[3 + i - j, j] = J[i, j].
-    neighbours is the per-solve template from _neighbour_band, and out a
-    buffer of its shape and order, which is overwritten.
+    block-tridiagonal.  out is a Fortran-ordered gbsv buffer, which is
+    overwritten: every node's 20 slots get pattern (from _band_pattern),
+    then the iterate's diagonal block (slots 6, 7, 15, 16), and the slots of
+    a neighbour off the grid are zeroed.  The return value is the band view
+    out[3:], with ab[3 + i - j, j] = J[i, j].
     """
-    np.copyto(out, neighbours)
-    c2 = 1.0 / (h * h)
+    nodes = out.T.reshape(-1, pattern.size)  # a view: out is Fortran-ordered
+    nodes[:] = pattern
     h_rr, h_rs, h_ss = bulk_energy_hessian(p, rho[1:-1], s[1:-1], bc.delta_t)
-    cross = -2.0 * p.D * c2 - h_rs  # d(F_1)/ds == d(F_2)/drho
-    ab = out[_KL:]
-    _place_block(ab, 0, [[-2.0 * p.C * c2 - h_rr, cross], [cross, -2.0 * p.E * c2 - h_ss]])
-    return ab
+    # the diagonal block is -2 [[C, D], [D, E]] / h^2 (the neighbour block
+    # at slots 4, 5, 14) less the Hessian
+    nodes[:, 6] = -2.0 * pattern[4] - h_rr
+    nodes[:, 7] = nodes[:, 15] = -2.0 * pattern[5] - h_rs  # d(F_1)/ds == d(F_2)/drho
+    nodes[:, 16] = -2.0 * pattern[14] - h_ss
+    nodes[0, [4, 5, 13, 14]] = 0.0  # the first node has no neighbour above
+    nodes[-1, [8, 9, 17, 18]] = 0.0  # nor the last one below
+    return out[_KL:]
 
 
 def solve_full_bvp(p: FluidParams, bc: BulkConditions,
@@ -521,11 +518,12 @@ def _newton(p: FluidParams, bc: BulkConditions, closed: Profile, rho: np.ndarray
     whatever the seed, so the bordered problem, and the force c that a
     truncating box needs, do not depend on the seed.
 
-    Each step is one direct dgbsv on a Fortran band buffer (constant
-    neighbour blocks laid out once per solve, Hessian entries added per
-    iteration, factored in place) with two right-hand sides, [-G, psi];
-    the phase row fixes dc, and the step is z1 - dc*z2.  The routine is
-    scipy's compiled one, loaded by _dgbsv without importing scipy.linalg.
+    Each step is one direct dgbsv on a Fortran band buffer (the per-node
+    pattern of the constant neighbour blocks laid over it, then the
+    Hessian's diagonal blocks, factored in place) with two right-hand
+    sides, [-G, psi]; the phase row fixes dc, and the step is z1 - dc*z2.
+    The routine is scipy's compiled one, loaded by _dgbsv without importing
+    scipy.linalg.
     A step that does not lower max|G| is halved, up to _MAX_DAMPING times.
     A non-finite or singular system, a step the phase row cannot fix and a
     failed line search raise NewtonDiverged, and running out of _MAX_ITER
@@ -559,9 +557,10 @@ def _newton(p: FluidParams, bc: BulkConditions, closed: Profile, rho: np.ndarray
     history: list[float] = []
     damping: list[int] = []
     iterations = 0
-    neighbours = _neighbour_band(p, q, h)
-    work = np.empty_like(neighbours)  # gbsv overwrites it with the LU factors
-    rhs = np.empty((2 * q, 2), order="F")  # and this with the two solutions
+    pattern = _band_pattern(p, h)
+    # gbsv overwrites work with the LU factors and rhs with the two solutions
+    work = np.empty((2 * _KL + _KU + 1, 2 * q), order="F")
+    rhs = np.empty((2 * q, 2), order="F")
 
     def report(residual: float, converged: bool = False) -> NewtonReport:
         return NewtonReport(iterations, residual, converged, tuple(damping), _TOL,
@@ -573,7 +572,7 @@ def _newton(p: FluidParams, bc: BulkConditions, closed: Profile, rho: np.ndarray
             raise MaxIterations(
                 f"no convergence in {_MAX_ITER} iterations (residual {rnorm:.3e})",
                 report(rnorm))
-        _coupled_jacobian_banded(p, bc, rho, s, h, neighbours, work)
+        _coupled_jacobian_banded(p, bc, rho, s, h, pattern, work)
         rhs[:, 0] = -res
         rhs[:, 1] = psi
         # the contiguous buffer scans faster than its band view

@@ -259,6 +259,24 @@ def test_check_samples_undercoolings_inside_the_configs_coexistence(tmp_path):
     assert proc.stdout.splitlines()[-1] == "13/13 checks passed"
 
 
+@pytest.mark.parametrize("config", [
+    {"params": {"B": 1e-200}},    # rho_v = -1e99: NonPositiveData
+    {"delta_T": 1e300},           # rho_v = -1e150: NonPositiveData
+    {"params": {"rho_c": 1e300}},  # rho_l = rho_v: CriticalIsotherm
+])
+def test_check_names_a_missing_coexistence_as_profile_does(tmp_path, config):
+    # the suite asks for the bulk states before it samples, so it names the
+    # cause instead of an overflow in the sampled eos states
+    failures = []
+    for command in ("profile", "check"):
+        proc, _ = run_cli(tmp_path, command, config=config, out=command)
+        assert proc.returncode == 3, proc.stderr
+        failures.append(proc.stderr.splitlines()[-1])
+    name = failures[0].split(":")[0]
+    assert name in ("NonPositiveData", "CriticalIsotherm")
+    assert failures[1].startswith(f"{name}: ")
+
+
 def test_check_table_columns_line_up_under_their_headings(capsys, tmp_path):
     from thermocap import cli
 

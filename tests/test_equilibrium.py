@@ -11,6 +11,7 @@ import io
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,9 +45,9 @@ from thermocap.equilibrium import (
     second_derivative_4th,
     simpson_uniform,
     stress_yy_profile,
+    _band_pattern,
     _coupled_jacobian_banded,
     _coupled_residual,
-    _neighbour_band,
     _newton,
 )
 from thermocap.errors import (
@@ -600,9 +601,12 @@ def test_banded_jacobian_matches_finite_differences():
     s = seed.s.copy()
     h = seed.h
     q = rho.size - 2
-    neighbours = _neighbour_band(P0, q, h)
-    ab = _coupled_jacobian_banded(P0, bc, rho, s, h, neighbours, np.empty_like(neighbours))
     m = 2 * q
+    # NaN everywhere, so a slot the assembly leaves unwritten (or a copy of
+    # the buffer written in its place) cannot pass as a zero
+    buf = np.full((10, m), np.nan, order="F")
+    ab = _coupled_jacobian_banded(P0, bc, rho, s, h, _band_pattern(P0, h), buf)
+    assert np.shares_memory(ab, buf) and ab.shape == (7, m)
     dense = np.zeros((m, m))
     for j in range(m):
         for i in range(max(0, j - 3), min(m, j + 4)):
@@ -626,6 +630,30 @@ def test_banded_jacobian_matches_finite_differences():
         bumped[j] += step
         fd[:, j] = (residual_of(bumped) - base) / step
     np.testing.assert_allclose(dense, fd, rtol=2e-5, atol=1e-6)
+    # the whole gbsv buffer is the checked matrix laid out, entry for entry:
+    # the LU-workspace rows and the slots of neighbours off the grid are zero
+    expected = np.zeros((10, m))
+    for j in range(m):
+        for i in range(max(0, j - 3), min(m, j + 4)):
+            expected[6 + i - j, j] = dense[i, j]
+    np.testing.assert_array_equal(buf, expected)
+
+
+def test_full_solve_footprint_per_node():
+    # a solve peaks near 400 B per node, 160 of them its one band buffer,
+    # which every iteration overwrites in place; a second buffer of that
+    # size, kept beside it, would take the peak past the bound
+    n = 16001
+    g = GridConfig(n_points=n)
+    bc = bulk_conditions(P0, delta_t=0.1)
+    solve_full_bvp(P0, bc, g)  # loads dgbsv outside the trace
+    tracemalloc.start()
+    try:
+        solve_full_bvp(P0, bc, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 450.0
 
 
 def test_dgbsv_is_scipys_own_routine():
