@@ -234,6 +234,8 @@ def cmd_celerity(cfg: RunConfig) -> tuple[int, dict]:
         closed = waves.celerity_general(cfg.params, locus)
         payload = {"locus_source": "override"}
     else:
+        if cfg.bc.delta_t > 0.0:  # name a missing interface as profile does
+            equilibrium.bulk_states(cfg.params, cfg.bc)
         locus = waves.dividing_surface_locus(cfg.params, cfg.bc)
         closed = waves.celerity_at_critical_density(cfg.params, cfg.bc)
         payload = {"locus_source": "dividing-surface", "delta_T": cfg.bc.delta_t}
@@ -288,7 +290,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
 def cmd_check(cfg: RunConfig) -> tuple[int, dict]:
     checks = run_checks(cfg.params, cfg.bc, cfg.grid, cfg.seed)
     lines = _verdict_table("check", "metric      threshold", [
-        (c["name"], c["passed"], f"{c['metric']:.4e}  {c['threshold']:.4e}") for c in checks])
+        (c["name"], c["passed"], f"{c['metric']:<10.4e}  {c['threshold']:.4e}") for c in checks])
     sys.stdout.write("\n".join(lines) + "\n")
     all_passed = all(c["passed"] for c in checks)
     return (EXIT_OK if all_passed else EXIT_VERIFICATION,

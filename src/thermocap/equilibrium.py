@@ -372,11 +372,15 @@ _MAX_ITER = 50
 _MAX_DAMPING = 20  # step halvings allowed per iteration
 # Nested iteration: grids of at least _SEED_FACTOR * (_SEED_POINTS - 1) + 1
 # nodes are seeded from a solve on _SEED_POINTS nodes (see solve_full_bvp).
-# On a 2-core VM (Python 3.11, numpy 2.4), best of 15 in process at
-# n = 16001, the pre-solve cuts the fine iterations from 3 to 1 at
-# delta_t = 0.1 (9.8 -> 4.7 ms) and from 2 to 1 at 1e-2 (6.8 -> 4.5 ms);
-# at 1e-4 it is pure overhead (3.8 -> 4.3 ms).  n = 8001 gains 25-37 % at
-# delta_t >= 1e-2 and n = 4001 about nothing, hence the factor 8.
+# On a 2-core VM (Python 3.11, numpy 2.4), best of 15 in process, one solve
+# takes (ms, closed seed -> pre-solve):
+#       n   delta_t = 0.1     1e-2         1e-4
+#   16001   19.2 -> 10.3   13.9 -> 9.2   7.6 -> 9.1
+#    8001    7.6 -> 5.5     6.9 -> 4.0   3.2 -> 4.9
+#    4001    5.3 -> 4.1     3.8 -> 2.4   2.1 -> 2.5
+# The pre-solve pays at delta_t >= 1e-2 and is pure overhead at 1e-4 on
+# every grid, so the factor 8 trades one range of delta_t against the other
+# (4001 nodes would gain at delta_t >= 1e-2 too); it is not a measured optimum.
 _SEED_POINTS = 1001
 _SEED_FACTOR = 8
 
@@ -430,8 +434,7 @@ def _band_pattern(p: FluidParams, h: float) -> np.ndarray:
 
 
 def _coupled_jacobian_banded(p: FluidParams, bc: BulkConditions, rho: np.ndarray,
-                             s: np.ndarray, h: float, pattern: np.ndarray,
-                             out: np.ndarray) -> np.ndarray:
+                             s: np.ndarray, pattern: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Banded (l = u = 3) Jacobian of _coupled_residual, LAPACK layout.
 
     Each grid node contributes a symmetric 2x2 block, so the matrix is
@@ -518,12 +521,9 @@ def _newton(p: FluidParams, bc: BulkConditions, closed: Profile, rho: np.ndarray
     whatever the seed, so the bordered problem, and the force c that a
     truncating box needs, do not depend on the seed.
 
-    Each step is one direct dgbsv on a Fortran band buffer (the per-node
-    pattern of the constant neighbour blocks laid over it, then the
-    Hessian's diagonal blocks, factored in place) with two right-hand
-    sides, [-G, psi]; the phase row fixes dc, and the step is z1 - dc*z2.
-    The routine is scipy's compiled one, loaded by _dgbsv without importing
-    scipy.linalg.
+    Each step is one dgbsv solve (its band buffer and loader: the module
+    docstring, _band_pattern and _dgbsv) with two right-hand sides,
+    [-G, psi]; the phase row fixes dc, and the step is z1 - dc*z2.
     A step that does not lower max|G| is halved, up to _MAX_DAMPING times.
     A non-finite or singular system, a step the phase row cannot fix and a
     failed line search raise NewtonDiverged, and running out of _MAX_ITER
@@ -572,7 +572,7 @@ def _newton(p: FluidParams, bc: BulkConditions, closed: Profile, rho: np.ndarray
             raise MaxIterations(
                 f"no convergence in {_MAX_ITER} iterations (residual {rnorm:.3e})",
                 report(rnorm))
-        _coupled_jacobian_banded(p, bc, rho, s, h, pattern, work)
+        _coupled_jacobian_banded(p, bc, rho, s, pattern, work)
         rhs[:, 0] = -res
         rhs[:, 1] = psi
         # the contiguous buffer scans faster than its band view

@@ -42,7 +42,8 @@ class MaxIterations(ModelError):
 
 
 class NonPositiveData(ModelError):
-    """Log-log fitting requires strictly positive abscissae and ordinates."""
+    """Data that must be strictly positive is not: a log-log fit's abscissae
+    and ordinates, or the vapor density rho_v that bulk_states finds."""
 
 
 class DegenerateSpan(ModelError):

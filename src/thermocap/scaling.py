@@ -257,9 +257,8 @@ def _solve_row(p: FluidParams, cfg: SweepConfig, delta_t: float) -> SweepRow:
     bc = bulk_conditions(p, delta_t=delta_t)
     if cfg.use_full_solver:
         prof, _ = solve_full_bvp(p, bc, cfg.grid)
-        deviation = tanh_deviation(p, prof)
     else:
-        prof, deviation = closed_profile(p, bc, cfg.grid), 0.0
+        prof = closed_profile(p, bc, cfg.grid)
     return SweepRow(
         delta_t=delta_t,
         amp_rho=float(np.max(np.abs(prof.rho - p.rho_c))),
@@ -267,7 +266,8 @@ def _solve_row(p: FluidParams, cfg: SweepConfig, delta_t: float) -> SweepRow:
         zeta_measured=measured_width(p, prof),
         sigma_quad=surface_tension_quadrature(p, prof),
         v=celerity_at_critical_density(p, bc).v,
-        full_vs_reduced_deviation=deviation,
+        # exactly 0.0 on a closed profile: the same expression on the same nodes
+        full_vs_reduced_deviation=tanh_deviation(p, prof),
     )
 
 
@@ -276,8 +276,9 @@ def run_sweep(p: FluidParams, cfg: SweepConfig) -> ScalingReport:
 
     A model error at one undercooling marks that row with its message and
     the sweep continues (an invalid config raises); fits use the surviving
-    rows, and verify_exponents fails the report for the failed ones.  Each
-    fit carries the tolerance it is judged by, the configured override where there is one.
+    rows (the deviation law only those of its asymptotic window), and
+    verify_exponents fails the report for the failed ones.  Each fit
+    carries the tolerance it is judged by, the configured override if any.
     """
     rows = []
     for delta_t in cfg.delta_t_values:
@@ -288,19 +289,15 @@ def run_sweep(p: FluidParams, cfg: SweepConfig) -> ScalingReport:
         except ModelError as exc:
             rows.append(SweepRow(delta_t=delta_t, error=f"{type(exc).__name__}: {exc}"))
     good = [r for r in rows if r.error is None]
+    # the deviation law is the leading term of an expansion in the density
+    # amplitude; it is fitted only inside that expansion's asymptotic window
+    # (next-order corrections exceed the slope tolerance outside), and has
+    # no fit where the window spans less than a decade
+    window = [r for r in good if math.sqrt(p.A * r.delta_t / p.B) <= 0.2 * p.rho_c]
 
     fits: dict[str, ExponentFit] = {}
     for law, (column, target, default) in _laws(cfg.use_full_solver).items():
-        use = good
-        if law == "deviation":
-            # the deviation law is the leading term of an expansion in the
-            # density amplitude; fit it only inside the asymptotic window
-            # (next-order corrections exceed the slope tolerance outside)
-            window = [r for r in good
-                      if math.sqrt(p.A * r.delta_t / p.B) <= 0.2 * p.rho_c]
-            if len(window) >= 2 and window[0].delta_t / window[-1].delta_t >= 10.0:
-                use = window
-        pts = [(r.delta_t, getattr(r, column)) for r in use]
+        pts = [(r.delta_t, getattr(r, column)) for r in (window if law == "deviation" else good)]
         pts = [(x, y) for x, y in pts if math.isfinite(y)]
         try:
             slope, intercept, resid = fit_exponent(pts)

@@ -263,18 +263,35 @@ def test_check_samples_undercoolings_inside_the_configs_coexistence(tmp_path):
     {"params": {"B": 1e-200}},    # rho_v = -1e99: NonPositiveData
     {"delta_T": 1e300},           # rho_v = -1e150: NonPositiveData
     {"params": {"rho_c": 1e300}},  # rho_l = rho_v: CriticalIsotherm
+    {"delta_T": 1e-300},          # rho_l = rho_v: CriticalIsotherm
 ])
 def test_check_names_a_missing_coexistence_as_profile_does(tmp_path, config):
-    # the suite asks for the bulk states before it samples, so it names the
-    # cause instead of an overflow in the sampled eos states
+    # the suite and celerity ask for the bulk states before they sample or
+    # build the locus, so they name the cause instead of an overflow
     failures = []
-    for command in ("profile", "check"):
+    for command in ("profile", "check", "celerity"):
         proc, _ = run_cli(tmp_path, command, config=config, out=command)
         assert proc.returncode == 3, proc.stderr
         failures.append(proc.stderr.splitlines()[-1])
     name = failures[0].split(":")[0]
     assert name in ("NonPositiveData", "CriticalIsotherm")
-    assert failures[1].startswith(f"{name}: ")
+    assert all(f.startswith(f"{name}: ") for f in failures[1:]), failures
+
+
+@pytest.mark.parametrize("half_width", [10, 12, 13.5])
+def test_check_fails_one_row_where_only_the_closed_route_refuses_the_box(tmp_path, half_width):
+    # the closed front's tails reach the bulk to 1e-6 only past about 13.8
+    # widths; the solved front answers on these boxes, so check fails the
+    # closed quadrature's row (metric inf, written as null) and goes on
+    config = {"grid": {"half_width_in_zeta": half_width}}
+    proc, _ = run_cli(tmp_path, "profile", "--full", config=config, out="profile")
+    assert proc.returncode == 0, proc.stderr
+    proc, out = run_cli(tmp_path, "check", config=config, out="check")
+    assert proc.returncode == 4, proc.stderr
+    assert "FAIL    inf         1.0000e-06" in proc.stdout  # columns still line up
+    failed = [c for c in read_json(out / "check.json")["checks"] if not c["passed"]]
+    assert failed == [{"name": "surface-tension-quadrature-vs-closed", "metric": None,
+                       "threshold": 1e-6, "passed": False}]
 
 
 def test_check_table_columns_line_up_under_their_headings(capsys, tmp_path):

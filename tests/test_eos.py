@@ -268,18 +268,19 @@ def test_delta_t_forms_are_the_profile_equations_bulk_terms_free_of_the_gauge():
 def test_check_certifies_the_delta_t_forms_at_any_gauge():
     # check's eos rows judge the delta_t forms, in which the gauge constants
     # cancel exactly, so constants of 1e12 leave each row two decades below
-    # its threshold; the profile and stress rows never add them, so they read
-    # the reference gauge's metrics bit for bit
+    # its threshold; the chemical potential, profile and stress rows never
+    # add them, so they read the reference gauge's metrics bit for bit
     p = FluidParams(mu_c=1e12, T_c=1e12, p_c=1e12)
     rows = {c["name"]: c for c in run_checks(p, bulk_conditions(p, delta_t=0.01),
                                              GridConfig(), 0)}
     assert len(rows) == 13 and all(c["passed"] for c in rows.values()), rows
     for name in ("eos-partials-vs-finite-difference", "eos-hessian-vs-finite-difference",
-                 "slaved-chemical-potential-identity", "bulk-states-at-coexistence"):
+                 "bulk-states-at-coexistence"):
         assert rows[name]["metric"] <= 1e-2 * rows[name]["threshold"], rows[name]
     reference = {c["name"]: c for c in run_checks(P0, bulk_conditions(P0, delta_t=0.01),
                                                   GridConfig(), 0)}
-    for name in ("profile-equation-residual", "equilibrium-stress-residual"):
+    for name in ("slaved-chemical-potential-identity", "profile-equation-residual",
+                 "equilibrium-stress-residual"):
         assert rows[name]["metric"] == reference[name]["metric"], name
 
 

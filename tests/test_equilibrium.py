@@ -605,7 +605,7 @@ def test_banded_jacobian_matches_finite_differences():
     # NaN everywhere, so a slot the assembly leaves unwritten (or a copy of
     # the buffer written in its place) cannot pass as a zero
     buf = np.full((10, m), np.nan, order="F")
-    ab = _coupled_jacobian_banded(P0, bc, rho, s, h, _band_pattern(P0, h), buf)
+    ab = _coupled_jacobian_banded(P0, bc, rho, s, _band_pattern(P0, h), buf)
     assert np.shares_memory(ab, buf) and ab.shape == (7, m)
     dense = np.zeros((m, m))
     for j in range(m):

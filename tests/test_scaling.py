@@ -113,8 +113,11 @@ def test_measured_width_on_the_full_solution():
 
 
 def test_tanh_deviation_vanishes_on_the_closed_profile():
-    prof = closed_profile(P0, BC)
-    assert tanh_deviation(P0, prof) <= 1e-12
+    # exactly: the sweep writes it as a closed row's deviation
+    for n_points in (51, 1001):
+        for dt in (1e-6, 1e-2, 0.1):
+            prof = closed_profile(P0, bulk_conditions(P0, delta_t=dt), GridConfig(n_points=n_points))
+            assert tanh_deviation(P0, prof) == 0.0
 
 
 def test_tanh_deviation_of_the_full_solution_is_first_order():
@@ -172,6 +175,19 @@ def test_tolerance_overrides_change_the_verdict():
     assert strict.verdicts["deviation"] is False
     assert strict.all_passed is False
     assert strict.verdicts["amp_rho"] is True
+
+
+@pytest.mark.parametrize("values", [(0.1, 0.08, 0.06, 1e-3), (0.06, 0.05, 0.045, 5e-4)])
+def test_deviation_has_no_fit_when_its_window_spans_under_a_decade(values):
+    # only delta_t <= 0.04 keeps the amplitude sqrt(A delta_t / B) within
+    # 0.2 rho_c: one row here, so the law has no fit rather than a slope
+    # taken from rows outside its window
+    report = run_sweep(P0, SweepConfig(delta_t_values=values, use_full_solver=True))
+    assert all(r.error is None for r in report.rows)
+    assert set(report.fits) == {"amp_rho", "amp_s", "zeta", "sigma", "v"}
+    summary = verify_exponents(report)
+    assert summary.verdicts["deviation"] is False
+    assert summary.all_passed is False
 
 
 @pytest.mark.parametrize("tolerances, match", [
