@@ -36,7 +36,7 @@ import numpy as np
 
 from . import equilibrium, scaling, waves
 from .checks import run_checks
-from .eos import BulkConditions, FluidParams, bulk_conditions, check_keys, read_object
+from .eos import BulkConditions, FluidParams, bulk_conditions, check_keys, read_number, read_object
 from .equilibrium import GridConfig
 from .errors import InvalidConfig, ModelError
 from .scaling import SweepConfig
@@ -183,15 +183,15 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
     if "delta_T" in raw and "T0" in raw:
         raise InvalidConfig("config sets both delta_T and T0; pick one")
+    # read under the document's own key, so an error names the key it set
     if "T0" in raw:
-        bc = bulk_conditions(p, T0=raw["T0"])
+        bc = bulk_conditions(p, T0=read_number(raw["T0"], "T0"))
     else:
-        bc = bulk_conditions(p, delta_t=raw.get("delta_T", 0.01))
+        bc = bulk_conditions(p, delta_t=read_number(raw.get("delta_T", 0.01), "delta_T"))
 
     grid = read_object(GridConfig, raw.get("grid", {}), "grid")
     sweep = read_object(SweepConfig, raw.get("sweep", {}), "sweep", grid=grid)  # grid is top-level
-    full = getattr(args, "full", False)  # only profile and sweep take --full
-    if full:
+    if args.full:
         sweep = replace(sweep, use_full_solver=True)
 
     fmt = args.format if args.format is not None else raw.get("format", "both")
@@ -207,8 +207,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise InvalidConfig("out must be a directory path string")
 
     return RunConfig(params=p, bc=bc, grid=grid, sweep=sweep,
-                     out_dir=out_dir, fmt=fmt, seed=seed, full=full,
-                     locus=_parse_locus(getattr(args, "locus", None)))
+                     out_dir=out_dir, fmt=fmt, seed=seed, full=args.full,
+                     locus=_parse_locus(args.locus))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def _sweep_table(report: scaling.ScalingReport, summary: scaling.VerificationSum
     rows = []
     for law, passed in summary.verdicts.items():
         fit = report.fits.get(law)
-        detail = ("no fit: fewer than 2 usable rows spanning a decade" if fit is None
+        detail = ("no fit: fewer than 2 finite, positive rows spanning a decade" if fit is None
                   else f"{fit.slope:+.5f}  {fit.target:+.4f}  {fit.tolerance:.4g}")
         rows.append((law, passed, detail))
     lines = _verdict_table("law", "slope     target   tolerance", rows)
@@ -323,6 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="thermocap",
         description="Equilibrium liquid-vapor interfaces of a thermocapillary "
                     "fluid and the acceleration waves they carry.")
+    ap.set_defaults(full=False, locus=None)  # for the subcommands that lack the option
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("profile", parents=[common, full],

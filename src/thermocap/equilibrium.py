@@ -68,6 +68,7 @@ __all__ = [
     "NewtonReport",
     "bulk_states",
     "interface_width",
+    "tanh_front",
     "closed_profile",
     "surface_tension_closed",
     "surface_tension_quadrature",
@@ -100,14 +101,14 @@ class GridConfig:
         read_fields(self, "grid", ["half_width_in_zeta"])
         n = self.n_points
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 51 or n % 2 == 0:
-            raise InvalidConfig(f"n_points must be an odd integer >= 51, got {n!r}")
+            raise InvalidConfig(f"grid.n_points must be an odd integer >= 51, got {n!r}")
         object.__setattr__(self, "n_points", int(n))  # a numpy integer too
         if self.n_points > _MAX_POINTS:
-            raise InvalidConfig(f"n_points must be <= {_MAX_POINTS} (a full solve "
+            raise InvalidConfig(f"grid.n_points must be <= {_MAX_POINTS} (a full solve "
                                 "needs about 400 B per node)")
         if self.half_width_in_zeta < 8.0:
             raise InvalidConfig(
-                f"half_width_in_zeta must be >= 8, got {self.half_width_in_zeta!r}"
+                f"grid.half_width_in_zeta must be >= 8, got {self.half_width_in_zeta!r}"
             )
 
 
@@ -175,7 +176,7 @@ class InterfaceObservables:
 class NewtonReport:
     """Convergence record of one bordered-Newton solve."""
 
-    iterations: int
+    iterations: int               # len(residual_history) == len(damping_history)
     residual_norm: float          # max|F| of the equations at the last iterate
     converged: bool
     damping_history: tuple[int, ...]  # step halvings accepted per iteration
@@ -253,8 +254,15 @@ def interface_width(p: FluidParams, bc: BulkConditions) -> float:
     return math.sqrt(p.C / (2.0 * p.A * bc.delta_t))
 
 
+def tanh_front(p: FluidParams, bc: BulkConditions, y) -> np.ndarray:
+    """The closed density front rho_c + (rho_l - rho_v)/2 * tanh(y / (2 zeta)) at heights y."""
+    liquid, vapor = bulk_states(p, bc)
+    zeta = interface_width(p, bc)
+    return p.rho_c + 0.5 * (liquid.rho - vapor.rho) * np.tanh(y / (2.0 * zeta))
+
+
 def closed_profile(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfig()) -> Profile:
-    """Tanh density front with slaved entropy on the requested grid."""
+    """The tanh front with slaved entropy on the requested grid."""
     zeta = interface_width(p, bc)
     h = 2.0 * g.half_width_in_zeta * zeta / (g.n_points - 1)
     if not math.isfinite(h):  # a finite h keeps every node |y| <= h * (n - 1) / 2 finite
@@ -262,9 +270,7 @@ def closed_profile(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
                             f"* {zeta!r} overflows")
     # build y as exact integer multiples of h so the midpoint is exactly 0
     y = h * (np.arange(g.n_points, dtype=float) - (g.n_points - 1) // 2)
-    liquid, vapor = bulk_states(p, bc)
-    amp = 0.5 * (liquid.rho - vapor.rho)
-    rho = p.rho_c + amp * np.tanh(y / (2.0 * zeta))
+    rho = tanh_front(p, bc, y)
     s = entropy_slave(p, rho, bc.delta_t)
     return Profile(y=y, rho=rho, s=s, bc=bc, provenance="closed-form")
 
@@ -556,19 +562,18 @@ def _newton(p: FluidParams, bc: BulkConditions, closed: Profile, rho: np.ndarray
     rnorm = float(np.max(np.abs(res)))
     history: list[float] = []
     damping: list[int] = []
-    iterations = 0
     pattern = _band_pattern(p, h)
     # gbsv overwrites work with the LU factors and rhs with the two solutions
     work = np.empty((2 * _KL + _KU + 1, 2 * q), order="F")
     rhs = np.empty((2 * q, 2), order="F")
 
     def report(residual: float, converged: bool = False) -> NewtonReport:
-        return NewtonReport(iterations, residual, converged, tuple(damping), _TOL,
+        return NewtonReport(len(history), residual, converged, tuple(damping), _TOL,
                             phase_force=c, residual_history=tuple(history),
                             seed_points=seed_points, seed_iterations=seed_iterations)
 
     while not rnorm <= _TOL:  # a NaN residual enters the loop and meets the guard
-        if iterations >= _MAX_ITER:
+        if len(history) >= _MAX_ITER:
             raise MaxIterations(
                 f"no convergence in {_MAX_ITER} iterations (residual {rnorm:.3e})",
                 report(rnorm))
@@ -578,11 +583,11 @@ def _newton(p: FluidParams, bc: BulkConditions, closed: Profile, rho: np.ndarray
         # the contiguous buffer scans faster than its band view
         if not (np.isfinite(work).all() and np.isfinite(rhs).all()):
             raise NewtonDiverged(
-                f"non-finite Newton system at iteration {iterations}", report(rnorm))
+                f"non-finite Newton system at iteration {len(history)}", report(rnorm))
         _, _, z, info = gbsv(_KL, _KU, work, rhs, overwrite_ab=True, overwrite_b=True)
         if info > 0:
             raise NewtonDiverged(
-                f"singular Jacobian at iteration {iterations} (zero pivot in column {info})",
+                f"singular Jacobian at iteration {len(history)} (zero pivot in column {info})",
                 report(rnorm))
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dgbsv")
@@ -590,7 +595,7 @@ def _newton(p: FluidParams, bc: BulkConditions, closed: Profile, rho: np.ndarray
         dc = float((z[k, 0] - gap) / z[k, 1])
         if not math.isfinite(dc):
             raise NewtonDiverged(
-                f"phase condition cannot fix the step at iteration {iterations} "
+                f"phase condition cannot fix the step at iteration {len(history)} "
                 f"(translation response {z[k, 1]:.3e})", report(rnorm))
         step = z[:, 0] - dc * z[:, 1]
         step[k] = gap  # the phase row holds exactly, not to rounding
@@ -619,7 +624,6 @@ def _newton(p: FluidParams, bc: BulkConditions, closed: Profile, rho: np.ndarray
         rho, s, c, f, res, rnorm = trial_rho, trial_s, trial_c, trial_f, trial_res, trial_norm
         damping.append(cuts)
         history.append(rnorm)
-        iterations += 1
     plain = float(np.max(np.abs(f)))
     return rho, s, report(plain, converged=plain <= _TOL)
 

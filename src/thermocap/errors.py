@@ -26,7 +26,8 @@ class IndefiniteGradientForm(InvalidConfig):
 
 
 class CriticalIsotherm(ModelError):
-    """Interface quantities requested exactly at T0 = T_c (width diverges)."""
+    """No interface to describe: T0 = T_c exactly (the width diverges), or an
+    undercooling too small to separate rho_l from rho_v in floating point."""
 
 
 class UndecayedTail(ModelError):
@@ -34,7 +35,8 @@ class UndecayedTail(ModelError):
 
 
 class NewtonDiverged(ModelError):
-    """Damped Newton could not reduce the residual within the damping budget."""
+    """Newton failed: a non-finite system, a singular Jacobian, a step the phase row
+    cannot fix, a failed line search, or an iterate outside the density bracket."""
 
 
 class MaxIterations(ModelError):
@@ -42,8 +44,8 @@ class MaxIterations(ModelError):
 
 
 class NonPositiveData(ModelError):
-    """Data that must be strictly positive is not: a log-log fit's abscissae
-    and ordinates, or the vapor density rho_v that bulk_states finds."""
+    """Data that must be finite and strictly positive is not: a log-log fit's
+    abscissae and ordinates, or the vapor density rho_v that bulk_states finds."""
 
 
 class DegenerateSpan(ModelError):

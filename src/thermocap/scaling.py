@@ -29,9 +29,9 @@ from .equilibrium import (
     Profile,
     bulk_states,
     closed_profile,
-    interface_width,
     solve_full_bvp,
     surface_tension_quadrature,
+    tanh_front,
 )
 from .errors import DegenerateSpan, InvalidConfig, ModelError, NonPositiveData
 from .waves import celerity_at_critical_density
@@ -187,14 +187,14 @@ class VerificationSummary:
 def fit_exponent(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
     """Least squares in log-log coordinates: (slope, intercept, max residual).
 
-    Needs at least two positive points whose x-range covers a full decade;
-    exactly one decade is accepted.
+    Needs at least two points, all coordinates finite and > 0, spanning a
+    full decade in x (exactly one is accepted); run_sweep filters by this alone.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
         raise DegenerateSpan(f"exponent fit needs at least 2 points, got {len(pts)}")
-    if any(x <= 0.0 or y <= 0.0 for x, y in pts):
-        raise NonPositiveData("exponent fit requires strictly positive coordinates")
+    if not all(0.0 < v < math.inf for pt in pts for v in pt):  # NaN fails too
+        raise NonPositiveData("exponent fit requires finite, strictly positive coordinates")
     xs = np.array([x for x, _ in pts])
     ys = np.array([y for _, y in pts])
     if xs.max() / xs.min() < 10.0 * (1.0 - 1e-12):
@@ -233,17 +233,13 @@ def _first_crossing(y: np.ndarray, m: np.ndarray, level: float) -> float:
 
 
 def tanh_deviation(p: FluidParams, prof: Profile) -> float:
-    """Sup distance from the centred tanh front, over rho_c.
+    """Sup distance from the centred tanh front (equilibrium.tanh_front), over rho_c.
 
     Both the closed profile and the solved one (its phase condition) put
     rho = rho_c exactly at y = 0, so the pointwise difference measures the
     order-delta_t shape deviation the scaling law is about.
     """
-    liquid, vapor = bulk_states(p, prof.bc)
-    amp = 0.5 * (liquid.rho - vapor.rho)
-    zeta = interface_width(p, prof.bc)
-    reference = p.rho_c + amp * np.tanh(prof.y / (2.0 * zeta))
-    return float(np.max(np.abs(prof.rho - reference))) / p.rho_c
+    return float(np.max(np.abs(prof.rho - tanh_front(p, prof.bc, prof.y)))) / p.rho_c
 
 
 def _laws(use_full_solver: bool) -> dict[str, tuple[str, float, float]]:
@@ -266,7 +262,7 @@ def _solve_row(p: FluidParams, cfg: SweepConfig, delta_t: float) -> SweepRow:
         zeta_measured=measured_width(p, prof),
         sigma_quad=surface_tension_quadrature(p, prof),
         v=celerity_at_critical_density(p, bc).v,
-        # exactly 0.0 on a closed profile: the same expression on the same nodes
+        # exactly 0.0 on a closed profile, whose rho is tanh_front on these nodes
         full_vs_reduced_deviation=tanh_deviation(p, prof),
     )
 
@@ -275,9 +271,9 @@ def run_sweep(p: FluidParams, cfg: SweepConfig) -> ScalingReport:
     """Measure all observables across the configured undercoolings.
 
     A model error at one undercooling marks that row with its message and
-    the sweep continues (an invalid config raises); fits use the surviving
-    rows (the deviation law only those of its asymptotic window), and
-    verify_exponents fails the report for the failed ones.  Each fit
+    the sweep continues (an invalid config raises); a law is fitted on the
+    surviving rows (deviation on its asymptotic window) or has no fit, and
+    verify_exponents fails the report for the failed rows.  Each fit
     carries the tolerance it is judged by, the configured override if any.
     """
     rows = []
@@ -298,7 +294,6 @@ def run_sweep(p: FluidParams, cfg: SweepConfig) -> ScalingReport:
     fits: dict[str, ExponentFit] = {}
     for law, (column, target, default) in _laws(cfg.use_full_solver).items():
         pts = [(r.delta_t, getattr(r, column)) for r in (window if law == "deviation" else good)]
-        pts = [(x, y) for x, y in pts if math.isfinite(y)]
         try:
             slope, intercept, resid = fit_exponent(pts)
         except ModelError:

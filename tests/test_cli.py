@@ -196,6 +196,21 @@ def test_sweep_with_a_failed_row_fails_verification(tmp_path):
     assert lines[7:] == ["6/6 laws passed", "failed row delta_t=0.5: " + data["rows"][0]["error"]]
 
 
+def test_sweep_names_why_a_law_has_no_fit(tmp_path, capsys):
+    # four good rows over three decades, each with v = inf: the law lacks
+    # finite, positive values, not rows
+    from thermocap import cli
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"params": {"E": 1e308, "A": 10, "B": 100}}')
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert "v        FAIL    no fit: fewer than 2 finite, positive rows spanning a decade" in lines
+    assert lines[-1] == "4/5 laws passed"
+    data = read_json(tmp_path / "out" / "scaling.json")
+    assert all(row["error"] is None and row["v"] is None for row in data["rows"])
+
+
 def test_sweep_rejects_single_undercooling(tmp_path):
     proc, out = run_cli(tmp_path, "sweep",
                         config={"sweep": {"delta_t_values": [1e-2]}})
@@ -452,7 +467,7 @@ def test_malformed_config_objects_are_named(tmp_path, config, message):
     (["profile"], '{"params": {"D": -Infinity}}', "params.D must be finite, got -inf"),
     (["profile"], '{"grid": {"half_width_in_zeta": Infinity}}',
      "grid.half_width_in_zeta must be finite, got inf"),
-    (["profile"], '{"delta_T": 1e400}', "delta_t must be finite, got inf"),
+    (["profile"], '{"delta_T": 1e400}', "delta_T must be finite, got inf"),
     (["profile"], '{"T0": NaN}', "T0 must be finite, got nan"),
     (["sweep"], '{"sweep": {"delta_t_values": [0.1, 0.01, NaN, 0.0001]}}',
      "sweep.delta_t_values[2] must be finite, got nan"),
@@ -469,6 +484,23 @@ def test_non_finite_config_numbers_are_named(tmp_path, capsys, args, text, messa
     cfg = tmp_path / "config.json"
     cfg.write_text(text)
     assert cli.main([*args, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"delta_T": null}', "delta_T must be a number, got None"),
+    ('{"T0": null}', "T0 must be a number, got None"),
+    ('{"delta_T": "0.1"}', "delta_T must be a number, got '0.1'"),
+    ('{"grid": {"n_points": null}}', "grid.n_points must be an odd integer >= 51, got None"),
+], ids=["delta_T-null", "T0-null", "delta_T-string", "n_points-null"])
+def test_config_errors_name_the_documents_own_key(tmp_path, capsys, text, message):
+    # a document that sets one undercooling key, badly, hears that key's name
+    from thermocap import cli
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert cli.main(["profile", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 

@@ -509,6 +509,50 @@ def test_iteration_cap_raises_max_iterations_with_report(monkeypatch, n, prefix)
     assert report.iterations == 1 and not report.converged
 
 
+def test_every_newton_report_counts_its_own_history(monkeypatch):
+    # a report's iteration count is the length of its histories, in every
+    # solve's report and in the one each refusal carries
+    reports = []
+
+    class Recorded(NewtonReport):
+        def __post_init__(self):
+            super().__post_init__()
+            reports.append(self)
+
+    monkeypatch.setattr(equilibrium, "NewtonReport", Recorded)
+    solve_full_bvp(P0, BC)
+    solve_full_bvp(P0, bulk_conditions(P0, delta_t=0.1), GridConfig(n_points=16001))
+    with pytest.raises(UndecayedTail):
+        solve_full_bvp(P0, bulk_conditions(P0, delta_t=0.3))
+    p = FluidParams(E=3.0)
+    with pytest.raises(UndecayedTail):  # the loop ends at the rounding floor of G
+        solve_full_bvp(p, bulk_conditions(p, delta_t=0.3), GridConfig(n_points=16001))
+    p = FluidParams(D=-0.3, E=0.3)
+    with pytest.raises(NewtonDiverged, match="after 20 step halvings"):
+        solve_full_bvp(p, bulk_conditions(p, delta_t=0.9),
+                       GridConfig(half_width_in_zeta=40.0, n_points=51))
+    with monkeypatch.context() as m:
+        m.setattr(equilibrium, "_MAX_ITER", 1)
+        with pytest.raises(MaxIterations):
+            solve_full_bvp(P0, bulk_conditions(P0, delta_t=0.1))
+    real_gbsv = equilibrium._dgbsv()
+    calls = []
+
+    def singular_on_the_second_step(kl, ku, ab, b, **kwargs):
+        calls.append(b.shape[0])
+        if len(calls) == 2:
+            return ab, np.zeros(b.shape[0], dtype=np.int32), b, 5
+        return real_gbsv(kl, ku, ab, b, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "_dgbsv", lambda: singular_on_the_second_step)
+    with pytest.raises(NewtonDiverged, match="singular Jacobian at iteration 1"):
+        solve_full_bvp(P0, bulk_conditions(P0, delta_t=0.1))
+    assert len(reports) == 9
+    assert sum(r.iterations > 0 and not r.converged for r in reports) >= 4
+    for r in reports:
+        assert r.iterations == len(r.residual_history) == len(r.damping_history), r
+
+
 def _overshooting_newton(monkeypatch):
     # the real solve, with one density pushed above the liquid bulk value
     real = equilibrium._newton

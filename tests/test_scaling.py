@@ -21,6 +21,7 @@ from thermocap import (
     interface_width,
     run_sweep,
     solve_full_bvp,
+    tanh_front,
     verify_exponents,
 )
 from thermocap.scaling import (
@@ -94,6 +95,12 @@ def test_fit_exponent_error_paths():
         fit_exponent([(1.0, 1.0), (10.0, -3.0)])
     with pytest.raises(NonPositiveData):
         fit_exponent([(1.0, 0.0), (10.0, 10.0)])
+    # the one rule for which measurements a law may be fitted on
+    for bad in (math.inf, math.nan):
+        with pytest.raises(NonPositiveData, match="finite, strictly positive"):
+            fit_exponent([(1.0, 1.0), (10.0, bad), (100.0, 1e4)])
+        with pytest.raises(NonPositiveData, match="finite, strictly positive"):
+            fit_exponent([(1.0, 1.0), (bad, 10.0), (100.0, 1e4)])
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +120,11 @@ def test_measured_width_on_the_full_solution():
 
 
 def test_tanh_deviation_vanishes_on_the_closed_profile():
-    # exactly: the sweep writes it as a closed row's deviation
+    # exactly: a closed profile is tanh_front on its own nodes, bit for bit
     for n_points in (51, 1001):
         for dt in (1e-6, 1e-2, 0.1):
             prof = closed_profile(P0, bulk_conditions(P0, delta_t=dt), GridConfig(n_points=n_points))
+            assert np.array_equal(tanh_front(P0, prof.bc, prof.y), prof.rho)
             assert tanh_deviation(P0, prof) == 0.0
 
 
@@ -188,6 +196,20 @@ def test_deviation_has_no_fit_when_its_window_spans_under_a_decade(values):
     summary = verify_exponents(report)
     assert summary.verdicts["deviation"] is False
     assert summary.all_passed is False
+
+
+def test_a_law_with_an_overflowed_measurement_has_no_fit():
+    # v overflows to inf at delta_t = 0.1 alone; the law is not fitted on
+    # the three rows left: it has no fit, and the sweep fails
+    p = FluidParams(C=1e-7, E=8e307, D=0.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        report = run_sweep(p, SweepConfig())
+    assert all(r.error is None for r in report.rows)
+    assert report.rows[0].v == math.inf
+    assert all(math.isfinite(r.v) for r in report.rows[1:])
+    assert "v" not in report.fits
+    summary = verify_exponents(report)
+    assert summary.verdicts["v"] is False and summary.all_passed is False
 
 
 @pytest.mark.parametrize("tolerances, match", [
