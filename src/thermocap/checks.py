@@ -10,10 +10,15 @@ profile and stress rows add none of them.  Each sampled undercooling lies
 between the config's delta_t and three decades below it, inside the
 config's own coexistence bracket; below delta_t ~ 1e-29 that floor no
 longer separates the two bulk densities in floating point.
+
+The samples come from SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) seeded
+with the CLI's seed rule (read_seed), so the stream depends on neither
+numpy's nor Python's release, and no run imports numpy.random.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import replace
 from functools import partial
 
@@ -22,9 +27,31 @@ import numpy as np
 from . import eos, equilibrium, waves
 from .eos import BulkConditions, FluidParams, bulk_conditions
 from .equilibrium import GridConfig
-from .errors import UndecayedTail
+from .errors import InvalidConfig, UndecayedTail
 
-__all__ = ["run_checks"]
+__all__ = ["read_seed", "run_checks"]
+
+
+def read_seed(seed) -> int:
+    """seed as an int if it is an integer in [0, 2^64) and no bool; else InvalidConfig."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
+        raise InvalidConfig(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return int(seed)
+
+
+def _uniforms(seed: int, k: int) -> np.ndarray:
+    """The first k SplitMix64 outputs for seed, each its top 53 bits times 2^-53."""
+    # output i mixes seed + i * 0x9E3779B97F4A7C15; uint64 arrays wrap mod 2^64 silently
+    z = np.uint64(seed) + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0 ** -53
+
+
+def _uniform(lo: float, hi: float, u: np.ndarray) -> np.ndarray:
+    # a draw in [lo, hi), as numpy's Generator.uniform maps its doubles
+    return lo + (hi - lo) * u
 
 
 def _worst(approx, exact) -> float:
@@ -39,10 +66,17 @@ def run_checks(p: FluidParams, bc: BulkConditions, grid: GridConfig,
 
     The seed drives all sampling, so a seed fixes every metric bit for bit.
     """
+    seed = read_seed(seed)
     # a config without a coexistence raises bulk_states' error, as profile
     # does, before an overflow in the sampled states could name another
     equilibrium.bulk_states(p, bc)
-    rng = np.random.default_rng(seed)
+    # all of a run's draws at once, in the order the rows below use them:
+    # delta_t, m and the entropy factor of the eos states, then rho, a, g2
+    # and the probe factor of the wave loci
+    n, n_loci = 200, 100
+    u = _uniforms(seed, 3 * n + 4 * n_loci)
+    u_dt, u_m, u_s = u[:3 * n].reshape(3, n)
+    u_rho, u_a, u_g2, u_probe = u[3 * n:].reshape(4, n_loci)
     checks: list[dict] = []
 
     def record(name: str, metric: float, threshold: float):
@@ -52,11 +86,10 @@ def run_checks(p: FluidParams, bc: BulkConditions, grid: GridConfig,
     # sample physically scaled states: densities inside the coexistence
     # bracket at undercoolings within three decades below the config's,
     # entropies near the slaved value
-    n = 200
-    dts = bc.delta_t * 10.0 ** rng.uniform(-3.0, 0.0, n)
-    m = rng.uniform(-1.0, 1.0, n) * np.sqrt(p.A * dts / p.B)
+    dts = bc.delta_t * 10.0 ** _uniform(-3.0, 0.0, u_dt)
+    m = _uniform(-1.0, 1.0, u_m) * np.sqrt(p.A * dts / p.B)
     rho = p.rho_c + m
-    s = eos.entropy_slave(p, rho, dts) * rng.uniform(0.5, 1.5, n)
+    s = eos.entropy_slave(p, rho, dts) * _uniform(0.5, 1.5, u_s)
 
     def central(f, d_rho, d_s):
         # central differences of f(rho, s)'s output (arrays stacked) in rho and in s
@@ -113,12 +146,11 @@ def run_checks(p: FluidParams, bc: BulkConditions, grid: GridConfig,
     record("equilibrium-stress-residual",
            equilibrium.equilibrium_stress_residual(p, full_prof), 1e-7)
 
-    n_loci = 100
-    rho_w = p.rho_c * rng.uniform(0.5, 1.5, n_loci)
-    a_w = rng.uniform(-1.0, 1.0, n_loci) * 0.1
-    g2_w = 10.0 ** rng.uniform(-12.0, -2.0, n_loci)
+    rho_w = p.rho_c * _uniform(0.5, 1.5, u_rho)
+    a_w = _uniform(-1.0, 1.0, u_a) * 0.1
+    g2_w = 10.0 ** _uniform(-12.0, -2.0, u_g2)
     v_closed, _ = waves.celerity_closed(p, rho_w, a_w, g2_w)
-    v_probe = rng.uniform(0.0, 2.0, n_loci) * v_closed
+    v_probe = _uniform(0.0, 2.0, u_probe) * v_closed
     num = np.linalg.det(waves.jump_matrices(p, rho_w, a_w, g2_w, v_probe))
     grad_term = (p.C * p.E - p.D * p.D) * g2_w
     # v^2 as the C library's pow(v, 2) (np.float_power), the value a Python

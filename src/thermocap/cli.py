@@ -35,7 +35,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import equilibrium, scaling, waves
-from .checks import run_checks
+from .checks import read_seed, run_checks
 from .eos import BulkConditions, FluidParams, bulk_conditions, check_keys, read_number, read_object
 from .equilibrium import GridConfig
 from .errors import InvalidConfig, ModelError
@@ -198,9 +198,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if fmt not in ("csv", "json", "both"):
         raise InvalidConfig(f"format must be csv, json or both, got {fmt!r}")
 
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2 ** 64:
-        raise InvalidConfig(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    seed = read_seed(args.seed if args.seed is not None else raw.get("seed", 0))
 
     out_dir = args.out if args.out is not None else raw.get("out", ".")
     if not isinstance(out_dir, str):

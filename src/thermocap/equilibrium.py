@@ -387,6 +387,9 @@ _MAX_DAMPING = 20  # step halvings allowed per iteration
 # The pre-solve pays at delta_t >= 1e-2 and is pure overhead at 1e-4 on
 # every grid, so the factor 8 trades one range of delta_t against the other
 # (4001 nodes would gain at delta_t >= 1e-2 too); it is not a measured optimum.
+# Over the bvp-grid workload's mix the trade is flat: a factor of 2 (every
+# grid above 1001 nodes nested) moved pass medians by at most 1 % and won
+# 47 of 80 paired in-process passes over two runs.
 _SEED_POINTS = 1001
 _SEED_FACTOR = 8
 

@@ -331,14 +331,44 @@ def test_check_seed_is_recorded_and_respected(tmp_path):
     assert proc0.stdout == proc1.stdout
 
 
-def test_check_passes_where_the_probe_speed_meets_the_root(tmp_path):
-    # this seed draws a probe speed next to the determinant's root, where
-    # det M itself nearly cancels; the identity is judged against the size
-    # of its terms, so cancellation is not mistaken for an error
-    from thermocap import cli
+@pytest.mark.parametrize("seed", [None, True, -1, 2 ** 64, 2 ** 70, 1.5])
+def test_library_and_cli_share_one_seed_rule(tmp_path, seed):
+    # run_checks neither draws OS entropy for None nor takes True as 1, and
+    # refuses what the CLI refuses, with the CLI's message
+    from thermocap import FluidParams, GridConfig, bulk_conditions
+    from thermocap.checks import run_checks
+    from thermocap.errors import InvalidConfig
 
+    message = f"seed must be an integer in [0, 2^64), got {seed!r}"
+    p = FluidParams()
+    with pytest.raises(InvalidConfig) as refused:
+        run_checks(p, bulk_conditions(p, delta_t=0.01), GridConfig(), seed)
+    assert str(refused.value) == message
+    proc, out = run_cli(tmp_path, "check", config={"seed": seed})
+    assert proc.returncode == 2 and proc.stderr == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_numpy_integer_seed_is_read_as_its_int():
+    import numpy as np
+    from thermocap.checks import read_seed
+
+    seed = read_seed(np.uint64(2 ** 64 - 1))
+    assert type(seed) is int and seed == 2 ** 64 - 1
+
+
+def test_check_passes_where_the_probe_speed_meets_the_root(tmp_path):
+    # this seed draws a probe speed within 4e-9 of the determinant's root,
+    # where det M itself nearly cancels (measured against |det M| the error
+    # reads 8.6e-9); the identity is judged against the size of its terms,
+    # so cancellation is not mistaken for an error
+    from thermocap import cli
+    from thermocap.checks import _uniforms
+
+    seed = 158507
+    assert abs(2.0 * _uniforms(seed, 1000)[900:] - 1.0).min() < 4e-9
     out = tmp_path / "out"
-    assert cli.main(["check", "--seed", "1340875042891987199", "--out", str(out)]) == 0
+    assert cli.main(["check", "--seed", str(seed), "--out", str(out)]) == 0
     entry = next(c for c in read_json(out / "check.json")["checks"]
                  if c["name"] == "jump-determinant-identity")
     assert entry["passed"] and entry["threshold"] == 1e-12
@@ -927,3 +957,33 @@ print(scipy.linalg.get_lapack_funcs(("gbsv",), dtype=np.float64)[0] is equilibri
         "check 0 []",
         "True",
     ]
+
+
+_FOOTPRINT = """
+import contextlib, io, sys
+before = set(sys.modules)
+from thermocap import cli, equilibrium
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+added = sorted({"numpy.random", "_hashlib", "secrets"} & (set(sys.modules) - before))
+print(rc, added, equilibrium._dgbsv.cache_info().currsize)
+"""
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (("profile",), False),
+    (("profile", "--full"), True),
+    (("celerity",), False),
+    (("sweep",), False),
+    (("sweep", "--full"), True),
+    (("check",), True),
+])
+def test_each_command_keeps_its_module_footprint(tmp_path, argv, solves):
+    # in a fresh interpreter, no command loads numpy.random or the OpenSSL
+    # hashing that comes with it (check draws from its own SplitMix64), and
+    # scipy's LAPACK extension is loaded only where the coupled solver runs;
+    # modules the interpreter had before the package import are not counted
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv, "--out", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"0 [] {int(solves)}\n"

@@ -24,7 +24,7 @@ from thermocap import (
     jump_matrix,
 )
 from thermocap import GridConfig
-from thermocap.checks import run_checks
+from thermocap.checks import _uniforms, run_checks
 from thermocap.waves import (
     celerity_closed,
     celerity_roots,
@@ -322,21 +322,47 @@ def test_batched_root_names_the_locus_where_a_guard_fails():
         celerity_roots(SimpleNamespace(C=1.0, D=1.5, E=1.0), np.ones(4), 0.0, 1e-9)
 
 
+def splitmix64(seed, k):
+    """The first k SplitMix64 outputs for seed, in Python integers: the
+    reference the suite's vectorized uint64 stream is checked against."""
+    mask = 2 ** 64 - 1
+    out = []
+    for i in range(1, k + 1):
+        z = (seed + i * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def reference_uniforms(seed, k):
+    return [(z >> 11) * 2.0 ** -53 for z in splitmix64(seed, k)]
+
+
+def test_check_draws_the_published_splitmix64_stream():
+    # the first outputs of SplitMix64 seeded with 0, as published with the
+    # generator (Steele, Lea & Flood 2014) and in Vigna's reference C code
+    assert splitmix64(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    for seed in (0, 1, 11, 2 ** 63 - 5, 2 ** 64 - 1):
+        u = _uniforms(seed, 1000)
+        assert u.dtype == np.float64 and u.tolist() == reference_uniforms(seed, 1000), seed
+        assert 0.0 <= u.min() and u.max() < 1.0
+
+
 @pytest.mark.parametrize("seed", [0, 11, 2 ** 63 - 5])
 def test_check_wave_metrics_match_a_per_locus_recomputation(seed):
     checks = {c["name"]: c["metric"] for c in run_checks(P0, BC, GridConfig(), seed)}
-    # replay the suite's draws: three 200-sample eos draws, then the loci,
-    # then one probe factor per locus
-    rng = np.random.default_rng(seed)
-    for lo, hi in ((-3.0, 0.0), (-1.0, 1.0), (0.5, 1.5)):
-        rng.uniform(lo, hi, 200)
-    rho_w = P0.rho_c * rng.uniform(0.5, 1.5, 100)
-    a_w = rng.uniform(-1.0, 1.0, 100) * 0.1
-    g2_w = 10.0 ** rng.uniform(-12.0, -2.0, 100)
+    # replay the suite's draws from the reference generator: three
+    # 200-sample eos draws, then rho, a and g2 of the 100 loci, then one
+    # probe factor per locus
+    u = reference_uniforms(seed, 1000)[600:]
+    rho_w = [P0.rho_c * (0.5 + x) for x in u[0:100]]
+    a_w = [(-1.0 + 2.0 * x) * 0.1 for x in u[100:200]]
+    g2_w = [10.0 ** (-12.0 + 10.0 * x) for x in u[200:300]]
     det_err = cel_err = 0.0
-    for rho_i, a_i, g2_i in zip(rho_w.tolist(), a_w.tolist(), g2_w.tolist()):
+    for rho_i, a_i, g2_i, u_i in zip(rho_w, a_w, g2_w, u[300:400]):
         locus = WaveLocus(rho=rho_i, grad_s_normal=a_i, grad_s_tg_sq=g2_i)
-        v_probe = rng.uniform(0.0, 2.0) * math.sqrt(
+        v_probe = 2.0 * u_i * math.sqrt(
             (P0.C * P0.E - P0.D * P0.D) * g2_i / (P0.C * rho_i))
         num = float(np.linalg.det(jump_matrix(P0, locus, v_probe)))
         grad_term = (P0.C * P0.E - P0.D * P0.D) * g2_i
