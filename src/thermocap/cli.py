@@ -232,8 +232,6 @@ def cmd_celerity(cfg: RunConfig) -> tuple[int, dict]:
         closed = waves.celerity_general(cfg.params, locus)
         payload = {"locus_source": "override"}
     else:
-        if cfg.bc.delta_t > 0.0:  # name a missing interface as profile does
-            equilibrium.bulk_states(cfg.params, cfg.bc)
         locus = waves.dividing_surface_locus(cfg.params, cfg.bc)
         closed = waves.celerity_at_critical_density(cfg.params, cfg.bc)
         payload = {"locus_source": "dividing-surface", "delta_T": cfg.bc.delta_t}

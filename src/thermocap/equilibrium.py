@@ -67,6 +67,7 @@ __all__ = [
     "InterfaceObservables",
     "NewtonReport",
     "bulk_states",
+    "require_interface",
     "interface_width",
     "tanh_front",
     "closed_profile",
@@ -228,7 +229,8 @@ def bulk_states(p: FluidParams, bc: BulkConditions) -> tuple[ThermoState, Thermo
     the two densities coincide in floating point (at delta_t = 0 they
     collapse onto the critical point, and an undercooling far below the
     resolution of rho_c cannot separate them) there is no interface to
-    describe, and CriticalIsotherm is raised.
+    describe, and CriticalIsotherm is raised.  A slaved entropy that
+    overflows raises OverflowError.
     """
     amp = math.sqrt(p.A * bc.delta_t / p.B)
     rho_l = p.rho_c + amp
@@ -242,15 +244,24 @@ def bulk_states(p: FluidParams, bc: BulkConditions) -> tuple[ThermoState, Thermo
         raise CriticalIsotherm(
             f"undercooling {bc.delta_t!r} does not separate the bulk densities: "
             f"rho_l = rho_v = {rho_l!r} in floating point")
-    liquid = ThermoState(rho=rho_l, s=float(entropy_slave(p, rho_l, bc.delta_t)))
-    vapor = ThermoState(rho=rho_v, s=float(entropy_slave(p, rho_v, bc.delta_t)))
-    return liquid, vapor
+    s_l, s_v = (float(entropy_slave(p, rho, bc.delta_t)) for rho in (rho_l, rho_v))
+    if not (math.isfinite(s_l) and math.isfinite(s_v)):
+        raise OverflowError(f"undercooling {bc.delta_t!r} overflows the slaved entropy "
+                            f"of the bulk states: s_l = {s_l!r}, s_v = {s_v!r}")
+    return ThermoState(rho=rho_l, s=s_l), ThermoState(rho=rho_v, s=s_v)
+
+
+def require_interface(p: FluidParams, bc: BulkConditions) -> None:
+    """Raise bulk_states' error at delta_t > 0; the closed forms answer delta_t = 0 themselves."""
+    if bc.delta_t > 0.0:
+        bulk_states(p, bc)
 
 
 def interface_width(p: FluidParams, bc: BulkConditions) -> float:
     """Characteristic width zeta = sqrt(C / (2 A delta_t)) of the tanh front."""
     if bc.delta_t == 0.0:
         raise CriticalIsotherm("interface width diverges at T0 = T_c")
+    require_interface(p, bc)
     return math.sqrt(p.C / (2.0 * p.A * bc.delta_t))
 
 
@@ -277,6 +288,7 @@ def closed_profile(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfi
 
 def surface_tension_closed(p: FluidParams, bc: BulkConditions) -> float:
     """Closed-form tension sigma = (sqrt(C)/(3B)) * (2 A delta_t)^(3/2)."""
+    require_interface(p, bc)
     return math.sqrt(p.C) / (3.0 * p.B) * (2.0 * p.A * bc.delta_t) ** 1.5
 
 

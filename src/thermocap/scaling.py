@@ -7,7 +7,9 @@ and the tangential wave celerity like delta_t^2.  A sweep solves the
 profile at each undercooling on a grid scaled in units of the width (so the
 discretization error is a delta_t-independent relative constant and exact
 laws stay exact through the numerics), measures each observable from the
-discrete data rather than from formulas, and fits log-log slopes.
+discrete data rather than from formulas (the width as the maximum-slope
+thickness, from the 4th-order derivative every other diagnostic takes),
+and fits log-log slopes.
 
 Each fit is built with the tolerance it is judged by: the default for its
 law and mode, or the SweepConfig's override.  ExponentFit.passed is the one
@@ -29,6 +31,7 @@ from .equilibrium import (
     Profile,
     bulk_states,
     closed_profile,
+    derivative_4th,
     solve_full_bvp,
     surface_tension_quadrature,
     tanh_front,
@@ -207,29 +210,13 @@ def fit_exponent(points: Sequence[tuple[float, float]]) -> tuple[float, float, f
 
 
 def measured_width(p: FluidParams, prof: Profile) -> float:
-    """Interface width measured from the discrete density column.
+    """Maximum-slope thickness (rho_l - rho_v) / (4 max rho'), rho' by derivative_4th.
 
-    The density traverses the central band |rho - rho_c| <= tanh(1) * jump/2
-    over a distance of 4 widths for the tanh front; the band edges are
-    located by linear interpolation between grid nodes, and the crossing
-    distance divided by 4 is the estimate.  The band deliberately excludes
-    the tails, where noise would dominate a fit.
+    It is zeta itself on the tanh front, whose slope peaks at (rho_l -
+    rho_v) / (4 zeta) (Rowlinson & Widom, Molecular Theory of Capillarity).
     """
     liquid, vapor = bulk_states(p, prof.bc)
-    band = math.tanh(1.0) * 0.5 * (liquid.rho - vapor.rho)
-    m = prof.rho - p.rho_c
-    y_lo = _first_crossing(prof.y, m, -band)
-    y_hi = _first_crossing(prof.y, m, band)
-    return (y_hi - y_lo) / 4.0
-
-
-def _first_crossing(y: np.ndarray, m: np.ndarray, level: float) -> float:
-    above = m >= level
-    if not above.any() or above[0]:
-        raise ValueError("band edge is not bracketed by the profile")
-    k = int(np.argmax(above))
-    frac = (level - m[k - 1]) / (m[k] - m[k - 1])
-    return float(y[k - 1] + frac * (y[k] - y[k - 1]))
+    return (liquid.rho - vapor.rho) / (4.0 * float(np.max(derivative_4th(prof.rho, prof.h))))
 
 
 def tanh_deviation(p: FluidParams, prof: Profile) -> float:

@@ -13,7 +13,8 @@ with g^2 the squared tangential entropy gradient follows by one cofactor
 expansion.  This module assembles the system, finds the root numerically
 from two determinant evaluations without using the closed form, and
 evaluates both on the dividing surface of an equilibrium profile where
-everything reduces to functions of the undercooling alone.
+everything reduces to functions of the undercooling alone (refusing, by
+equilibrium.require_interface, an undercooling with no interface).
 
 The numeric root works on arrays of loci: jump_matrices fills a
 (..., 3, 3) stack from broadcast rho, a, g2 and v, and celerity_roots
@@ -35,6 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .eos import BulkConditions, FluidParams, read_fields
+from .equilibrium import require_interface
 from .errors import InvalidConfig, ModelError
 
 __all__ = [
@@ -244,6 +246,7 @@ def dividing_surface_density_gradient(p: FluidParams, bc: BulkConditions) -> flo
     C |grad rho|^2 = (A^2 / 2B) delta_t^2 at the dividing surface, and the
     wave normal is orthogonal to grad rho there, so all of it is tangential.
     """
+    require_interface(p, bc)
     return p.A * bc.delta_t / math.sqrt(2.0 * p.B * p.C)
 
 
@@ -265,9 +268,12 @@ def celerity_at_critical_density(p: FluidParams, bc: BulkConditions) -> Celerity
     """Celerity on the dividing surface straight from the undercooling.
 
     v^2 = (CE - D^2) A^6 delta_t^4 / (8 C^2 B^3 rho_c^5): quadratic in
-    delta_t, so the wave slows to rest exactly at the critical point.
+    delta_t, so the wave slows to rest exactly at the critical point, where
+    v = 0 is returned without the product, which may overflow there.
     """
+    lam = celerity_general(p, dividing_surface_locus(p, bc)).lam
+    if bc.delta_t == 0.0:
+        return CelerityResult(v=0.0, lam=lam)
     num = (p.C * p.E - p.D * p.D) * p.A ** 6 * bc.delta_t ** 4
     den = 8.0 * p.C ** 2 * p.B ** 3 * p.rho_c ** 5
-    lam = celerity_general(p, dividing_surface_locus(p, bc)).lam
     return CelerityResult(v=math.sqrt(num / den), lam=lam)

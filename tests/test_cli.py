@@ -281,8 +281,9 @@ def test_check_samples_undercoolings_inside_the_configs_coexistence(tmp_path):
     {"delta_T": 1e-300},          # rho_l = rho_v: CriticalIsotherm
 ])
 def test_check_names_a_missing_coexistence_as_profile_does(tmp_path, config):
-    # the suite and celerity ask for the bulk states before they sample or
-    # build the locus, so they name the cause instead of an overflow
+    # the suite asks for the bulk states before it samples, and celerity's
+    # closed forms refuse a state with no interface with bulk_states' error,
+    # so both name the cause instead of an overflow
     failures = []
     for command in ("profile", "check", "celerity"):
         proc, _ = run_cli(tmp_path, command, config=config, out=command)
@@ -589,6 +590,13 @@ def _config_documents():
 @example(command="check", doc={"params": {"A": 1.0, "B": 0.0625}, "delta_T": 0.1})
 # the node coordinates of this box overflow; closed_profile refuses it
 @example(command="profile", doc={"grid": {"half_width_in_zeta": 1e308}})
+# the bulk densities sit two ulps apart at delta_T = 0.1 and coincide below:
+# sweep fails its rows (exit 4) instead of a band-edge search raising
+@example(command="sweep", doc={"params": {"A": 8e-32, "B": 0.5}})
+# (CE - D^2) A^6 overflows, but celerity at delta_T = 0 is v = 0 (exit 0)
+@example(command="celerity", doc={"params": {"E": 1e308, "A": 10}, "delta_T": 0})
+# (A^2 / B) * delta_T overflows in the slaved entropy of the bulk states (exit 3)
+@example(command="profile", doc={"params": {"A": 1e150, "B": 1e-10}, "delta_T": 1e-162})
 def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, capsys, command, doc):
     # every config document, however malformed, ends in exit 0/2/3/4 with
     # the error named on stderr, never in an uncaught exception; a failed
@@ -802,6 +810,20 @@ def test_unanswerable_profiles_exit_3(tmp_path, capsys, config, message):
     assert cli.main(["profile", "--config", str(cfg), "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", [["profile"], ["profile", "--full"], ["celerity"], ["check"]])
+def test_an_overflowing_slaved_entropy_exits_3(tmp_path, capsys, command):
+    # (A^2 / B) * delta_T overflows to inf in the bulk states' entropy
+    from thermocap import cli
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"params": {"A": 1e150, "B": 1e-10}, "delta_T": 1e-162}))
+    out = tmp_path / "out"
+    assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: OverflowError: undercooling 1e-162 overflows")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("locus", [

@@ -24,7 +24,9 @@ from thermocap import (
     Profile,
     bulk_conditions,
     bulk_states,
+    celerity_at_critical_density,
     closed_profile,
+    dividing_surface_locus,
     equilibrium_stress_residual,
     interface_observables,
     interface_width,
@@ -55,6 +57,7 @@ from thermocap.errors import (
     InvalidConfig,
     MaxIterations,
     NewtonDiverged,
+    NonPositiveData,
     UndecayedTail,
 )
 
@@ -145,6 +148,28 @@ def test_interface_width_reference_value():
 def test_interface_width_diverges_on_the_critical_isotherm():
     with pytest.raises(CriticalIsotherm):
         interface_width(P0, bulk_conditions(P0, delta_t=0.0))
+
+
+@pytest.mark.parametrize("closed_form", [
+    interface_width, surface_tension_closed, dividing_surface_locus,
+    celerity_at_critical_density,
+])
+def test_closed_forms_refuse_a_state_with_no_interface(closed_form):
+    # at delta_t = 2 the vapor branch is rho_v = 1 - sqrt(2) < 0: each closed
+    # form refuses it with bulk_states' own error instead of answering
+    bc = bulk_conditions(P0, delta_t=2.0)
+    with pytest.raises(NonPositiveData) as expected:
+        bulk_states(P0, bc)
+    with pytest.raises(NonPositiveData) as refused:
+        closed_form(P0, bc)
+    assert str(refused.value) == str(expected.value)
+
+
+def test_bulk_states_name_an_overflowing_slaved_entropy():
+    # (A^2 / B) * delta_t overflows to inf before delta_t scales it back
+    p = FluidParams(A=1e150, B=1e-10)
+    with pytest.raises(OverflowError, match=r"undercooling 1e-162 overflows"):
+        bulk_states(p, bulk_conditions(p, delta_t=1e-162))
 
 
 def test_closed_profile_is_the_tanh_front():

@@ -414,3 +414,6 @@ def test_celerity_vanishes_at_the_critical_point():
     result = celerity_at_critical_density(P0, bulk_conditions(P0, delta_t=0.0))
     assert result.v == 0.0
     assert result.to_dict()["v_squared"] == 0.0
+    # (CE - D^2) A^6 overflows here; at delta_t = 0 the wave is at rest all the same
+    p = FluidParams(E=1e308, A=10.0)
+    assert celerity_at_critical_density(p, bulk_conditions(p, delta_t=0.0)).v == 0.0
