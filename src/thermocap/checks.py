@@ -8,8 +8,9 @@ its threshold.  The eos rows certify the delta_t forms of the bulk terms
 that the solver uses, in which mu_c, T_c and p_c cancel exactly; the
 profile and stress rows add none of them.  Each sampled undercooling lies
 between the config's delta_t and three decades below it, inside the
-config's own coexistence bracket; below delta_t ~ 1e-29 that floor no
-longer separates the two bulk densities in floating point.
+config's own coexistence bracket; below delta_t ~ 1e-17 (at the reference
+constants) that floor no longer resolves the density jump to the share
+the profiles' tails are held to, and bulk_states refuses it.
 
 The samples come from SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) seeded
 with the CLI's seed rule (read_seed), so the stream depends on neither
@@ -138,8 +139,8 @@ def run_checks(p: FluidParams, bc: BulkConditions, grid: GridConfig,
         sig_q = np.inf
     record("surface-tension-quadrature-vs-closed", abs(sig_q - sig_c) / sig_c, 1e-6)
 
-    # on grids of 8001 nodes and up this counts the 1001-node pre-solve's
-    # iterations plus the fine ones
+    # where the collocation refines, this counts the coarser level's
+    # iterations plus the final ones
     full_prof, newton = equilibrium.solve_full_bvp(p, bc, grid)
     record("newton-iterations-from-closed-seed",
            float(newton.iterations + newton.seed_iterations), 10.0)
@@ -172,8 +173,13 @@ def run_checks(p: FluidParams, bc: BulkConditions, grid: GridConfig,
     record("dividing-surface-celerity-consistency",
            abs(v_direct.v - v_locus.v) / scale, 1e-12)
 
-    bc0 = bulk_conditions(p, delta_t=0.0)
-    record("celerity-vanishes-at-critical-point",
-           waves.celerity_at_critical_density(p, bc0).v, 0.0)
+    # toward the critical point: the determinant root on the dividing-surface
+    # loci of delta_t / 10, / 100, / 1000 against the closed delta_t^2 law
+    bcs = [bulk_conditions(p, delta_t=dt) for dt in bc.delta_t * 10.0 ** -np.arange(1.0, 4.0)]
+    v_law = np.array([waves.celerity_at_critical_density(p, b).v for b in bcs])
+    loci = [waves.dividing_surface_locus(p, b) for b in bcs]
+    v_root, _ = waves.celerity_roots(p, [c.rho for c in loci], [c.grad_s_normal for c in loci],
+                                     [c.grad_s_tg_sq for c in loci])
+    record("celerity-root-toward-critical-point", np.max(np.abs(v_root - v_law) / v_law), 1e-10)
 
     return checks

@@ -3,41 +3,24 @@
 Two routes to the equilibrium profile are kept deliberately independent.
 The closed route slaves the entropy to the density and solves the single
 density equation analytically: a tanh front of width zeta connecting the
-two bulk densities.  The full route discretizes the coupled system
+two bulk densities.  The full route collocates the coupled system
 
     C rho'' + D s'' = d(rho*alpha)/drho - s*T0 - mu_c
     D rho'' + E s'' = d(rho*alpha)/ds   - rho*T0
 
-on [-L, L] with Dirichlet data from the exact bulk states and solves it by
-Newton iteration with an analytic block-tridiagonal Jacobian, bordered so
-the front stays at y = 0; solve_full_bvp says how a solve is seeded and
-_newton how it is judged.  The solver uses plain 2nd-order central
-differences (keeps the Jacobian banded); all diagnostics use 4th-order
-stencils so discretization error of the diagnostic never masks the
-quantity being diagnosed.
-
-Each Newton step is one direct LAPACK dgbsv call on a Fortran-ordered band
-buffer that the Jacobian is assembled into, so the binding hands LAPACK the
-buffer itself, with no copy or transpose.  Each grid node owns 20
-contiguous doubles of that buffer; the assembly lays one per-node pattern
-of the constant neighbour blocks over all of them, then writes the
-iterate's diagonal blocks.  Only the full route needs scipy, and only for
-that LAPACK routine: on first use it loads scipy's compiled extension
-scipy.linalg._flapack on its own (see _dgbsv), never the scipy or
-scipy.linalg packages, so no route pays the scipy.linalg import.  The
-loader leaves no module behind in sys.modules, so a later import of
-scipy.linalg binds the extension as usual, with the same routine objects.
+at mapped Chebyshev-Lobatto nodes of [-L, L], with Dirichlet data from the
+exact bulk states, and solves it by bordered Newton (solve_full_bvp).  The
+collocation converges exponentially in the node count, so 40 to 80 intervals
+resolve the smooth front on any grid the profile is returned on; every
+diagnostic uses 4th-order stencils on that grid, so discretization error
+of the diagnostic never masks the quantity being diagnosed.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib.machinery
-import importlib.util
 import math
 import numbers
-import os
-import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -59,6 +42,7 @@ from .errors import (
     NewtonDiverged,
     NonPositiveData,
     UndecayedTail,
+    UnderResolved,
 )
 
 __all__ = [
@@ -87,8 +71,13 @@ __all__ = [
 ]
 
 
-# the largest grid: a full solve peaks near 400 B per node, about 400 MB here
+# the largest grid: the stress certificate peaks near 140 B per node and a
+# full solve near 70 (past the few MB of its collocation), so a run on it
+# needs about 140 MB
 _MAX_POINTS = 1_000_001
+# the share of the density jump by which a profile's ends may miss the bulk
+# densities and its interior overshoot them
+_GATE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -105,8 +94,8 @@ class GridConfig:
             raise InvalidConfig(f"grid.n_points must be an odd integer >= 51, got {n!r}")
         object.__setattr__(self, "n_points", int(n))  # a numpy integer too
         if self.n_points > _MAX_POINTS:
-            raise InvalidConfig(f"grid.n_points must be <= {_MAX_POINTS} (a full solve "
-                                "needs about 400 B per node)")
+            raise InvalidConfig(f"grid.n_points must be <= {_MAX_POINTS} (a run needs "
+                                "about 140 B per node)")
         if self.half_width_in_zeta < 8.0:
             raise InvalidConfig(
                 f"grid.half_width_in_zeta must be >= 8, got {self.half_width_in_zeta!r}"
@@ -184,8 +173,8 @@ class NewtonReport:
     tolerance: float
     phase_force: float = 0.0      # final bordering scalar c pinning the front
     residual_history: tuple[float, ...] = ()  # max|F + c*psi| after each iteration
-    seed_points: int = 0          # nodes of the pre-solve that seeded it, 0 for the closed seed
-    seed_iterations: int = 0      # iterations the pre-solve took
+    seed_points: int = 0          # Chebyshev intervals of the level that seeded it, 0 for none
+    seed_iterations: int = 0      # iterations that level took
 
     def __post_init__(self):
         if self.converged and not self.residual_norm <= self.tolerance:
@@ -226,11 +215,11 @@ def bulk_states(p: FluidParams, bc: BulkConditions) -> tuple[ThermoState, Thermo
 
     rho_{l,v} = rho_c +/- sqrt(A*delta_t/B) with slaved entropies; these are
     exact roots of both equilibrium equations, not asymptotic ones.  Where
-    the two densities coincide in floating point (at delta_t = 0 they
-    collapse onto the critical point, and an undercooling far below the
-    resolution of rho_c cannot separate them) there is no interface to
-    describe, and CriticalIsotherm is raised.  A slaved entropy that
-    overflows raises OverflowError.
+    _GATE * (rho_l - rho_v), the miss a profile's tails are allowed, is
+    below the spacing of the doubles at rho_c (at delta_t = 0, or at an
+    undercooling that leaves the densities a few spacings apart) floating
+    point resolves no interface, and CriticalIsotherm is raised.  A slaved
+    entropy that overflows raises OverflowError.
     """
     amp = math.sqrt(p.A * bc.delta_t / p.B)
     rho_l = p.rho_c + amp
@@ -240,10 +229,11 @@ def bulk_states(p: FluidParams, bc: BulkConditions) -> tuple[ThermoState, Thermo
             f"undercooling {bc.delta_t!r} drives the vapor branch to "
             f"rho_v = {rho_v!r} <= 0; coexistence needs sqrt(A*delta_t/B) < rho_c"
         )
-    if not rho_l > rho_v:
+    if not _GATE * (rho_l - rho_v) >= math.ulp(p.rho_c):
         raise CriticalIsotherm(
             f"undercooling {bc.delta_t!r} does not separate the bulk densities: "
-            f"rho_l = rho_v = {rho_l!r} in floating point")
+            f"rho_l - rho_v = {rho_l - rho_v!r} is less than {1 / _GATE:.0e} spacings "
+            f"of the doubles at rho_c = {p.rho_c!r}")
     s_l, s_v = (float(entropy_slave(p, rho, bc.delta_t)) for rho in (rho_l, rho_v))
     if not (math.isfinite(s_l) and math.isfinite(s_v)):
         raise OverflowError(f"undercooling {bc.delta_t!r} overflows the slaved entropy "
@@ -301,7 +291,7 @@ def surface_tension_quadrature(p: FluidParams, prof: Profile) -> float:
     """
     liquid, vapor = bulk_states(p, prof.bc)
     jump = liquid.rho - vapor.rho
-    tail = 1e-6 * jump
+    tail = _GATE * jump
     if abs(prof.rho[0] - vapor.rho) > tail or abs(prof.rho[-1] - liquid.rho) > tail:
         raise UndecayedTail(
             "profile tails have not reached the bulk densities: "
@@ -368,159 +358,169 @@ def first_integral_residual(p: FluidParams, bc: BulkConditions, prof: Profile) -
 # Full coupled solver
 # ---------------------------------------------------------------------------
 
-def _coupled_residual(p: FluidParams, bc: BulkConditions, rho: np.ndarray,
-                      s: np.ndarray, h: float) -> np.ndarray:
-    """Residual of the discretized system on interior nodes, interleaved."""
-    c2 = 1.0 / (h * h)
-    lap_rho = (rho[:-2] - 2.0 * rho[1:-1] + rho[2:]) * c2
-    lap_s = (s[:-2] - 2.0 * s[1:-1] + s[2:]) * c2
-    # d(rho*alpha)/drho - s*T0 - mu_c and d(rho*alpha)/ds - rho*T0, in delta_t
-    d_rho, d_s = bulk_energy_partials(p, rho[1:-1], s[1:-1], bc.delta_t)
-    f1 = p.C * lap_rho + p.D * lap_s - d_rho
-    f2 = p.D * lap_rho + p.E * lap_s - d_s
-    out = np.empty(2 * f1.size)
-    out[0::2] = f1
-    out[1::2] = f2
-    return out
-
-
-_KL = _KU = 3  # half-bandwidths of the interleaved block-tridiagonal Jacobian
 _TOL = 1e-10  # max-norm residual at which Newton stops
 _MAX_ITER = 50
 _MAX_DAMPING = 20  # step halvings allowed per iteration
-# Nested iteration: grids of at least _SEED_FACTOR * (_SEED_POINTS - 1) + 1
-# nodes are seeded from a solve on _SEED_POINTS nodes (see solve_full_bvp).
-# On a 2-core VM (Python 3.11, numpy 2.4), best of 15 in process, one solve
-# takes (ms, closed seed -> pre-solve):
-#       n   delta_t = 0.1     1e-2         1e-4
-#   16001   19.2 -> 10.3   13.9 -> 9.2   7.6 -> 9.1
-#    8001    7.6 -> 5.5     6.9 -> 4.0   3.2 -> 4.9
-#    4001    5.3 -> 4.1     3.8 -> 2.4   2.1 -> 2.5
-# The pre-solve pays at delta_t >= 1e-2 and is pure overhead at 1e-4 on
-# every grid, so the factor 8 trades one range of delta_t against the other
-# (4001 nodes would gain at delta_t >= 1e-2 too); it is not a measured optimum.
-# Over the bvp-grid workload's mix the trade is flat: a factor of 2 (every
-# grid above 1001 nodes nested) moved pass medians by at most 1 % and won
-# 47 of 80 paired in-process passes over two runs.
-_SEED_POINTS = 1001
-_SEED_FACTOR = 8
+# The collocation ladder (see solve_full_bvp) starts at _FIRST_NODES
+# Chebyshev intervals (even, so that y = 0 is a node) and doubles them up to
+# _MAX_NODES while a level's last two Chebyshev coefficients of rho exceed
+# _TAIL times the density jump, a hundredth of the _GATE on the profile.
+# 40 intervals resolve the default box up to delta_t ~ 0.06, and their
+# Newton system of 78 unknowns stays below the 100 from which OpenBLAS
+# factors on several threads, whose hand-offs stall on a busy machine.
+_FIRST_NODES = 40
+_MAX_NODES = 320
+_TAIL = 1e-8
+_BLOCK = 4096  # heights per block of _Level.values_at, which holds n + 1 doubles for each
 
 
 @functools.cache
-def _dgbsv():
-    """scipy's compiled dgbsv, without importing scipy or scipy.linalg.
+def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only Chebyshev-Lobatto nodes x_j = cos(pi (n - j) / n), d/dx on them
+    (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6), and the matrix of
+    c_k = (2/n) sum_j f_j T_k(x_j), end terms and c_0, c_n halved.  Written
+    as sines, the nodes are symmetric and exactly 0 at j = n/2 for even n,
+    and those of n are the even nodes of 2n."""
+    j = np.arange(n + 1)
+    x = np.sin(np.pi * (2 * j - n) / (2 * n))
+    w = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    d_dx = np.outer(w, 1.0 / w) / (x[:, None] - x + np.eye(n + 1))
+    d_dx -= np.diag(d_dx.sum(axis=1))
+    # k (n - j) mod 2n keeps the cosine's argument in [0, 2 pi)
+    cheb = np.cos(np.pi * (np.outer(j, n - j) % (2 * n)) / n) * (2.0 / n)
+    cheb[:, [0, -1]] *= 0.5
+    cheb[[0, -1]] *= 0.5
+    for arr in (x, d_dx, cheb):
+        arr.setflags(write=False)
+    return x, d_dx, cheb
 
-    The package route, scipy.linalg.get_lapack_funcs, loads some 330
-    modules and costs about 0.3 s for this one routine.  Instead the f2py
-    extension that holds it is located in scipy's install directory and run
-    on its own; it is the same extension module the package imports, so the
-    returned object is the one get_lapack_funcs(("gbsv",)) gives.  When the
-    extension is not found there (an editable build, say), the package route
-    is taken.
+
+class _Level:
+    """Collocation on the nodes of _lobatto(n) mapped onto [-L, L].
+
+    y = ell x / sqrt(a - x^2), a = 1 + (ell / L)^2, sends +-1 to +-L and
+    half of the nodes within about ell of the front (Boyd, Chebyshev and
+    Fourier Spectral Methods, 2001, ch. 17); dy and d2 differentiate nodal
+    values in y.
     """
-    package = importlib.util.find_spec("scipy")  # locates scipy, runs none of it
-    spec = None if package is None else importlib.machinery.PathFinder.find_spec(
-        "scipy.linalg._flapack",
-        [os.path.join(d, "linalg") for d in package.submodule_search_locations])
-    if spec is None:  # also where scipy is missing: the import below then says so
-        from scipy.linalg import get_lapack_funcs
-        return get_lapack_funcs(("gbsv",), dtype=np.float64)[0]
-    flapack = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    if "scipy.linalg" not in sys.modules:
-        # left in sys.modules, the extension would keep a later import of
-        # scipy.linalg from binding it as the package attribute; dropped,
-        # that import re-creates it from the extension's cached state, with
-        # the same routine objects
-        sys.modules.pop("scipy.linalg._flapack", None)
-    return flapack.dgbsv
+
+    def __init__(self, n: int, half_width: float, ell: float):
+        x, d_dx, self.cheb = _lobatto(n)
+        a = 1.0 + (ell / half_width) ** 2
+        self.n, self.ell, self.a = n, ell, a
+        self.y = ell * x / np.sqrt(a - x * x)
+        self.y[[0, -1]] = -half_width, half_width
+        self.dy = ((a - x * x) ** 1.5 / (ell * a))[:, None] * d_dx  # dx/dy times d/dx
+        self.d2 = self.dy @ self.dy
+
+    def values_at(self, f: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The interpolants of the rows of nodal values f at heights y, T_k by recurrence."""
+        x = y * math.sqrt(self.a) / np.sqrt(self.ell ** 2 + y * y)  # the map's inverse
+        c = f @ self.cheb.T
+        out = np.empty((f.shape[0], x.size))
+        for lo in range(0, x.size, _BLOCK):
+            xb = x[lo:lo + _BLOCK]
+            x2 = 2.0 * xb
+            t = np.empty((self.n + 1, xb.size))
+            t[0], t[1] = 1.0, xb
+            for k in range(1, self.n):
+                np.multiply(x2, t[k], out=t[k + 1])
+                t[k + 1] -= t[k - 1]
+            out[:, lo:lo + _BLOCK] = c @ t
+        return out
 
 
-def _band_pattern(p: FluidParams, h: float) -> np.ndarray:
-    """The Jacobian's constant part, one grid node's share of the gbsv buffer.
-
-    gbsv wants a Fortran-ordered (2*kl + ku + 1, 2q) buffer whose first kl
-    rows are workspace for the LU fill-in and whose remaining rows hold the
-    band, ab[kl + ku + i - j, j] = J[i, j].  Unknowns interleave as
-    (rho_1, s_1, rho_2, s_2, ...), so node k's columns 2k and 2k + 1 are 20
-    contiguous doubles, and J[2(k + e) + r, 2k + c] is slot
-    10c + 6 + 2e + r - c of them.  The neighbour blocks [[C, D], [D, E]] / h^2
-    (e = -1: slots 4, 5, 13, 14; e = +1: slots 8, 9, 17, 18) do not depend
-    on the iterate; every other slot is zero here.
-    """
-    c2 = 1.0 / (h * h)
-    pattern = np.zeros(2 * (2 * _KL + _KU + 1))
-    pattern[[4, 5, 13, 14]] = pattern[[8, 9, 17, 18]] = (p.C * c2, p.D * c2, p.D * c2, p.E * c2)
-    return pattern
+def _collocation_residual(p: FluidParams, bc: BulkConditions, level: _Level, m: np.ndarray,
+                          s: np.ndarray) -> np.ndarray:
+    """The coupled equations at the interior nodes, [F_1; F_2], with m = rho - rho_c."""
+    lap_m = level.d2[1:-1] @ m
+    lap_s = level.d2[1:-1] @ s
+    # d(rho*alpha)/drho - s*T0 - mu_c and d(rho*alpha)/ds - rho*T0, in delta_t
+    d_rho, d_s = bulk_energy_partials(p, p.rho_c + m[1:-1], s[1:-1], bc.delta_t)
+    return np.concatenate([p.C * lap_m + p.D * lap_s - d_rho, p.D * lap_m + p.E * lap_s - d_s])
 
 
-def _coupled_jacobian_banded(p: FluidParams, bc: BulkConditions, rho: np.ndarray,
-                             s: np.ndarray, pattern: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Banded (l = u = 3) Jacobian of _coupled_residual, LAPACK layout.
-
-    Each grid node contributes a symmetric 2x2 block, so the matrix is
-    block-tridiagonal.  out is a Fortran-ordered gbsv buffer, which is
-    overwritten: every node's 20 slots get pattern (from _band_pattern),
-    then the iterate's diagonal block (slots 6, 7, 15, 16), and the slots of
-    a neighbour off the grid are zeroed.  The return value is the band view
-    out[3:], with ab[3 + i - j, j] = J[i, j].
-    """
-    nodes = out.T.reshape(-1, pattern.size)  # a view: out is Fortran-ordered
-    nodes[:] = pattern
-    h_rr, h_rs, h_ss = bulk_energy_hessian(p, rho[1:-1], s[1:-1], bc.delta_t)
-    # the diagonal block is -2 [[C, D], [D, E]] / h^2 (the neighbour block
-    # at slots 4, 5, 14) less the Hessian
-    nodes[:, 6] = -2.0 * pattern[4] - h_rr
-    nodes[:, 7] = nodes[:, 15] = -2.0 * pattern[5] - h_rs  # d(F_1)/ds == d(F_2)/drho
-    nodes[:, 16] = -2.0 * pattern[14] - h_ss
-    nodes[0, [4, 5, 13, 14]] = 0.0  # the first node has no neighbour above
-    nodes[-1, [8, 9, 17, 18]] = 0.0  # nor the last one below
-    return out[_KL:]
+def _collocation_jacobian(p: FluidParams, bc: BulkConditions, level: _Level, m: np.ndarray,
+                          s: np.ndarray) -> np.ndarray:
+    """Dense Jacobian of _collocation_residual in the interior unknowns [m; s]."""
+    lap = level.d2[1:-1, 1:-1]
+    q = len(lap)
+    jac = np.empty((2 * q, 2 * q))
+    jac[:q, :q], jac[:q, q:], jac[q:, :q], jac[q:, q:] = p.C * lap, p.D * lap, p.D * lap, p.E * lap
+    h_rr, h_rs, h_ss = bulk_energy_hessian(p, p.rho_c + m[1:-1], s[1:-1], bc.delta_t)
+    i, j = np.arange(q), np.arange(q, 2 * q)
+    # less the Hessian on the blocks' diagonals; d(F_1)/ds == d(F_2)/drho
+    jac[np.concatenate([i, i, j, j]), np.concatenate([i, j, i, j])] -= np.concatenate(
+        [h_rr, h_rs, h_rs, h_ss])
+    return jac
 
 
 def solve_full_bvp(p: FluidParams, bc: BulkConditions,
                    g: GridConfig = GridConfig()) -> tuple[Profile, NewtonReport]:
     """Solve the coupled two-field boundary-value problem by bordered Newton.
 
-    Dirichlet data are the exact bulk states.  The closed-form profile,
-    accurate to O(delta_t), seeds grids of fewer than
-    _SEED_FACTOR * (_SEED_POINTS - 1) + 1 nodes.  Finer grids are seeded by
-    nested iteration (Brandt, Math. Comp. 31, 1977): the problem is first
-    solved on _SEED_POINTS nodes of the same box, and the correction to the
-    closed profile found there is interpolated onto the fine grid and added
-    to its closed profile.  The correction vanishes at y = 0, a node of both
-    grids, so this seed too meets the phase condition exactly (see _newton).
-    A MaxIterations or NewtonDiverged of the pre-solve keeps its class and
-    names the pre-solve; the report's seed_points (0 for the closed seed)
-    and seed_iterations record it.
+    The equations are collocated on a _Level of the box [-L, L] of g, with
+    Dirichlet data from the exact bulk states, and solved by _newton.  The
+    first level has _FIRST_NODES Chebyshev intervals and the closed front
+    scaled by 1 / tanh(L / 2 zeta) for seed, which meets the bulk densities
+    smoothly at +-L.  A level whose last two Chebyshev coefficients of rho
+    exceed _TAIL times the density jump seeds the next, with twice the
+    intervals, by its interpolant, and past _MAX_NODES UnderResolved is
+    raised; seed_points and seed_iterations record the level before the
+    last (0 for none).  g.n_points only sets the uniform grid on which the
+    last level's interpolant is returned, exactly rho_c at y = 0 and the
+    bulk states at +-L.
 
-    Only the requested grid's solve is judged, by its report's verdict (see
-    _newton).  A solve that is not converged held the front only by a real
-    force: the box truncates the tails, and UndecayedTail is raised with
-    the report instead of returning the truncated profile.  A solution that
-    leaves the bracket of the bulk densities raises NewtonDiverged.
+    The first resolved level is judged by its report (see _newton): its
+    failure is raised as it is.  A solve that is not converged held the
+    front only by a real force: the box truncates the tails, and
+    UndecayedTail is raised with the report instead of returning the
+    truncated profile.  A solution that leaves the bracket of the bulk
+    densities raises NewtonDiverged.
     """
     closed = closed_profile(p, bc, g)
-    rho, s, seed_points, seed_iterations = closed.rho, closed.s, 0, 0
-    if g.n_points >= _SEED_FACTOR * (_SEED_POINTS - 1) + 1:
-        coarse = closed_profile(p, bc, replace(g, n_points=_SEED_POINTS))
-        try:
-            coarse_rho, coarse_s, coarse_report = _newton(p, bc, coarse, coarse.rho, coarse.s)
-        except (MaxIterations, NewtonDiverged) as exc:
-            raise type(exc)(f"{_SEED_POINTS}-node pre-solve: {exc}", exc.report) from exc
-        # interpolate the correction to the closed profile, not the profile
-        rho = closed.rho + np.interp(closed.y, coarse.y, coarse_rho - coarse.rho)
-        s = closed.s + np.interp(closed.y, coarse.y, coarse_s - coarse.s)
-        seed_points, seed_iterations = _SEED_POINTS, coarse_report.iterations
-    rho, s, report = _newton(p, bc, closed, rho, s, seed_points, seed_iterations)
+    liquid, vapor = bulk_states(p, bc)
+    zeta = interface_width(p, bc)
+    jump = liquid.rho - vapor.rho
+    m_v, m_l = vapor.rho - p.rho_c, liquid.rho - p.rho_c
+
+    def front(level: _Level) -> tuple[np.ndarray, np.ndarray]:
+        # the scaled closed front and its slaved entropy on the level's nodes
+        t = np.tanh(level.y / (2.0 * zeta))
+        m = 0.5 * (m_l + m_v) + 0.5 * (m_l - m_v) * (t / t[-1])
+        return m, entropy_slave(p, p.rho_c + m, bc.delta_t)
+
+    level = _Level(_FIRST_NODES, closed.y[-1], 4.0 * zeta)
+    m, s = front(level)
+    seed_points = seed_iterations = 0
+    while True:
+        m[[0, -1]], s[[0, -1]] = (m_v, m_l), (vapor.s, liquid.s)  # the Dirichlet data
+        m, s, report, failure = _newton(p, bc, level, front(level), m, s,
+                                        seed_points, seed_iterations)
+        tail = float(np.max(np.abs(level.cheb[-2:] @ m)))
+        if tail <= _TAIL * jump:
+            break
+        if level.n >= _MAX_NODES:
+            raise UnderResolved(
+                f"the coupled profile is under-resolved: {level.n} Chebyshev intervals leave "
+                f"a coefficient tail of {tail / jump:.1e} of the density jump > {_TAIL:.0e}",
+                report)
+        finer = _Level(2 * level.n, level.y[-1], level.ell)
+        m, s = level.values_at(np.stack([m, s]), finer.y)
+        seed_points, seed_iterations, level = level.n, report.iterations, finer
+    if failure is not None:
+        raise failure
     if not report.converged:
         raise UndecayedTail(
             f"holding the front at y = 0 takes a force c = {report.phase_force:.3e}: the "
             f"equations' residual is {report.residual_norm:.3e} > {_TOL:.1e}, so the box of "
             f"half_width_in_zeta = {g.half_width_in_zeta:g} truncates the tails; widen it",
             report)
-    liquid, vapor = bulk_states(p, bc)
-    slack = 1e-6 * (liquid.rho - vapor.rho)  # overshoot allowed, relative to the jump
+    rho, s = level.values_at(np.stack([m, s]), closed.y)
+    rho += p.rho_c
+    rho[[0, closed.mid_index, -1]] = vapor.rho, p.rho_c, liquid.rho
+    s[[0, -1]] = vapor.s, liquid.s
+    slack = _GATE * jump
     if np.min(rho) < vapor.rho - slack or np.max(rho) > liquid.rho + slack:
         raise NewtonDiverged(
             "converged iterate leaves the physical density bracket "
@@ -528,100 +528,81 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions,
     return Profile(y=closed.y, rho=rho, s=s, bc=bc, provenance="full-solver"), report
 
 
-def _newton(p: FluidParams, bc: BulkConditions, closed: Profile, rho: np.ndarray,
-            s: np.ndarray, seed_points: int = 0,
-            seed_iterations: int = 0) -> tuple[np.ndarray, np.ndarray, NewtonReport]:
-    """Bordered Newton on closed's grid from the seed (rho, s).
+def _newton(p: FluidParams, bc: BulkConditions, level: _Level,
+            front: tuple[np.ndarray, np.ndarray], m: np.ndarray, s: np.ndarray,
+            seed_points: int, seed_iterations: int):
+    """Bordered Newton on level's nodes from the seed (m, s), m = rho - rho_c.
 
-    The seed is copied and its ends set to the bulk states.  A wide box
-    leaves the front nearly free to translate, so the system is bordered
-    (Beyn, IMA J. Numer. Anal. 10, 1990): a scalar c joins the unknowns,
-    the equations become G = F + c*psi with psi the closed profile's
-    translation mode, and the phase condition rho(0) = rho_c, which the
-    seed must meet, pins the front.  psi comes from the closed profile
-    whatever the seed, so the bordered problem, and the force c that a
-    truncating box needs, do not depend on the seed.
-
-    Each step is one dgbsv solve (its band buffer and loader: the module
-    docstring, _band_pattern and _dgbsv) with two right-hand sides,
-    [-G, psi]; the phase row fixes dc, and the step is z1 - dc*z2.
-    A step that does not lower max|G| is halved, up to _MAX_DAMPING times.
-    A non-finite or singular system, a step the phase row cannot fix and a
-    failed line search raise NewtonDiverged, and running out of _MAX_ITER
-    iterations MaxIterations, each with the report so far.  A line search
-    that fails with max|G| already below |c| * max|psi| has met the
-    rounding floor of G, not a divergence, and ends the loop.
+    Returns (m, s, report, failure), failure the error the loop stopped
+    with, unraised, or None.  A wide box leaves the front nearly free to
+    translate, so the system is bordered (Beyn, IMA J. Numer. Anal. 10,
+    1990): a scalar c joins the unknowns, the equations become
+    G = F + c*psi with psi the translation mode of front, the same function
+    of y whatever the level and the seed, and the phase condition
+    rho(0) = rho_c pins the front.  Each step is one dense solve of
+    [-G, psi]; the phase row fixes dc, and the step is z1 - dc*z2, halved
+    up to _MAX_DAMPING times until max|G| falls.  A non-finite or singular
+    system, a step the phase row cannot fix and a failed line search fail
+    with NewtonDiverged, and _MAX_ITER iterations with MaxIterations; a
+    line search that fails with max|G| already below |c| * max|psi| has
+    met the rounding floor of G, which ends the loop.
 
     The loop stops at max|G| <= _TOL.  The verdict is the equations' own:
-    the returned report's residual_norm is max|F| at the last iterate and
-    it is converged when max|F| <= _TOL, which fails where c is a real
-    force.  Every report, those of the errors included, carries
-    seed_points and seed_iterations as given.
+    the report's residual_norm is max|F| at the last iterate and it is
+    converged when max|F| <= _TOL, which fails where c is a real force.
     """
-    gbsv = _dgbsv()
-    liquid, vapor = bulk_states(p, bc)
-    h = closed.h
-    rho, s = rho.copy(), s.copy()
-    rho[0], rho[-1] = vapor.rho, liquid.rho
-    s[0], s[-1] = vapor.s, liquid.s
-    q = rho.size - 2
-    mid = closed.mid_index
-    k = 2 * (mid - 1)  # the unknown rho(0) among the interleaved interior unknowns
-    psi = np.empty(2 * q)
-    psi[0::2] = derivative_4th(closed.rho, h)[1:-1]
-    psi[1::2] = derivative_4th(closed.s, h)[1:-1]
+    q = level.n - 1
+    k = level.n // 2 - 1  # the unknown rho(0) among the interior unknowns [m; s]
+    psi = np.concatenate([(level.dy[1:-1] @ f) for f in front])
 
     c = 0.0
-    f = _coupled_residual(p, bc, rho, s, h)
+    f = _collocation_residual(p, bc, level, m, s)
     res = f  # G = F + c*psi, with c = 0 at the seed
     rnorm = float(np.max(np.abs(res)))
     history: list[float] = []
     damping: list[int] = []
-    pattern = _band_pattern(p, h)
-    # gbsv overwrites work with the LU factors and rhs with the two solutions
-    work = np.empty((2 * _KL + _KU + 1, 2 * q), order="F")
-    rhs = np.empty((2 * q, 2), order="F")
 
     def report(residual: float, converged: bool = False) -> NewtonReport:
         return NewtonReport(len(history), residual, converged, tuple(damping), _TOL,
                             phase_force=c, residual_history=tuple(history),
                             seed_points=seed_points, seed_iterations=seed_iterations)
 
+    failure = None
     while not rnorm <= _TOL:  # a NaN residual enters the loop and meets the guard
         if len(history) >= _MAX_ITER:
-            raise MaxIterations(
+            failure = MaxIterations(
                 f"no convergence in {_MAX_ITER} iterations (residual {rnorm:.3e})",
                 report(rnorm))
-        _coupled_jacobian_banded(p, bc, rho, s, pattern, work)
-        rhs[:, 0] = -res
-        rhs[:, 1] = psi
-        # the contiguous buffer scans faster than its band view
-        if not (np.isfinite(work).all() and np.isfinite(rhs).all()):
-            raise NewtonDiverged(
+            break
+        jac = _collocation_jacobian(p, bc, level, m, s)
+        rhs = np.stack([-res, psi], axis=1)
+        if not (np.isfinite(jac).all() and np.isfinite(rhs).all()):
+            failure = NewtonDiverged(
                 f"non-finite Newton system at iteration {len(history)}", report(rnorm))
-        _, _, z, info = gbsv(_KL, _KU, work, rhs, overwrite_ab=True, overwrite_b=True)
-        if info > 0:
-            raise NewtonDiverged(
-                f"singular Jacobian at iteration {len(history)} (zero pivot in column {info})",
-                report(rnorm))
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dgbsv")
-        gap = p.rho_c - rho[mid]
+            break
+        try:
+            z = np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError:
+            failure = NewtonDiverged(
+                f"singular Jacobian at iteration {len(history)}", report(rnorm))
+            break
+        gap = -m[k + 1]
         dc = float((z[k, 0] - gap) / z[k, 1])
         if not math.isfinite(dc):
-            raise NewtonDiverged(
+            failure = NewtonDiverged(
                 f"phase condition cannot fix the step at iteration {len(history)} "
                 f"(translation response {z[k, 1]:.3e})", report(rnorm))
+            break
         step = z[:, 0] - dc * z[:, 1]
         step[k] = gap  # the phase row holds exactly, not to rounding
         lam = 1.0
         for cuts in range(_MAX_DAMPING + 1):
-            trial_rho = rho.copy()
+            trial_m = m.copy()
             trial_s = s.copy()
-            trial_rho[1:-1] += lam * step[0::2]
-            trial_s[1:-1] += lam * step[1::2]
+            trial_m[1:-1] += lam * step[:q]
+            trial_s[1:-1] += lam * step[q:]
             trial_c = c + lam * dc
-            trial_f = _coupled_residual(p, bc, trial_rho, trial_s, h)
+            trial_f = _collocation_residual(p, bc, level, trial_m, trial_s)
             trial_res = trial_f + trial_c * psi
             trial_norm = float(np.max(np.abs(trial_res)))
             if trial_norm < rnorm or trial_norm <= _TOL:
@@ -633,14 +614,15 @@ def _newton(p: FluidParams, bc: BulkConditions, closed: Profile, rho: np.ndarray
                 # holds the front: the bordered problem is solved, and the
                 # verdict on F names the force
                 break
-            raise NewtonDiverged(
+            failure = NewtonDiverged(
                 f"residual stuck at {rnorm:.3e} after {_MAX_DAMPING} step halvings",
                 report(rnorm))
-        rho, s, c, f, res, rnorm = trial_rho, trial_s, trial_c, trial_f, trial_res, trial_norm
+            break
+        m, s, c, f, res, rnorm = trial_m, trial_s, trial_c, trial_f, trial_res, trial_norm
         damping.append(cuts)
         history.append(rnorm)
     plain = float(np.max(np.abs(f)))
-    return rho, s, report(plain, converged=plain <= _TOL)
+    return m, s, report(plain, converged=plain <= _TOL), failure
 
 
 def interface_observables(p: FluidParams, bc: BulkConditions,

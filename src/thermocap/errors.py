@@ -31,7 +31,12 @@ class CriticalIsotherm(ModelError):
 
 
 class UndecayedTail(ModelError):
-    """Profile has not relaxed to its bulk values at the domain ends."""
+    """Profile has not relaxed to its bulk values at the domain ends, or holding
+    the solved front at y = 0 takes a force that leaves its equations unsolved."""
+
+
+class UnderResolved(ModelError):
+    """The collocation's largest level leaves the profile's Chebyshev tail undecayed."""
 
 
 class NewtonDiverged(ModelError):

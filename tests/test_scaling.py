@@ -258,6 +258,17 @@ def test_sweep_isolates_row_failures():
     assert summary.all_passed is False
 
 
+def test_sweep_fails_a_row_whose_amplitude_floating_point_cannot_resolve():
+    # with A = 8e-32 the delta_t = 0.1 bulk densities lie 1.5 spacings of
+    # the doubles apart at rho_c = 1: the row fails instead of reporting an
+    # amplitude of rounding as a measurement
+    report = run_sweep(FluidParams(A=8e-32, B=0.5), SweepConfig())
+    row = report.rows[0]
+    assert row.delta_t == 0.1 and math.isnan(row.amp_rho)
+    assert row.error.startswith("CriticalIsotherm: undercooling 0.1 does not separate")
+    assert verify_exponents(report).all_passed is False
+
+
 def test_sweep_raises_a_config_error_instead_of_failing_rows():
     # a box overflowing every row's grid is the config's fault, not a row's
     cfg = SweepConfig(grid=GridConfig(half_width_in_zeta=1e308))

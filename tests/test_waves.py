@@ -7,6 +7,7 @@ interface at undercooling 0.01 this evaluates to v^2 = 1.2e-9.
 """
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,7 @@ from thermocap import (
     dividing_surface_locus,
     jump_matrix,
 )
-from thermocap import GridConfig
+from thermocap import GridConfig, waves
 from thermocap.checks import _uniforms, run_checks
 from thermocap.waves import (
     celerity_closed,
@@ -373,6 +374,27 @@ def test_check_wave_metrics_match_a_per_locus_recomputation(seed):
         cel_err = max(cel_err, abs(closed - celerity_by_determinant(P0, locus).v) / closed)
     assert checks["jump-determinant-identity"] == det_err
     assert checks["celerity-root-vs-closed-form"] == cel_err
+
+
+def test_check_follows_the_celerity_toward_the_critical_point(monkeypatch):
+    # the row compares the determinant root with the closed delta_t^2 law
+    # one, two and three decades below the config's undercooling; a law
+    # that is right at the config's own delta_t but off the delta_t^2
+    # scaling below it passes every other row and fails this one
+    def rows():
+        return {c["name"]: c for c in run_checks(P0, BC, GridConfig(), 0)}
+
+    row = rows()["celerity-root-toward-critical-point"]
+    assert row["passed"] and row["threshold"] == 1e-10 and row["metric"] < 1e-14
+    real = waves.celerity_at_critical_density
+
+    def off_the_law(p, bc):
+        result = real(p, bc)
+        return replace(result, v=result.v * (bc.delta_t / BC.delta_t) ** 1e-3)
+
+    monkeypatch.setattr(waves, "celerity_at_critical_density", off_the_law)
+    failed = [name for name, c in rows().items() if not c["passed"]]
+    assert failed == ["celerity-root-toward-critical-point"]
 
 
 # ---------------------------------------------------------------------------
