@@ -262,15 +262,20 @@ def tanh_front(p: FluidParams, bc: BulkConditions, y) -> np.ndarray:
     return p.rho_c + 0.5 * (liquid.rho - vapor.rho) * np.tanh(y / (2.0 * zeta))
 
 
-def closed_profile(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfig()) -> Profile:
-    """The tanh front with slaved entropy on the requested grid."""
-    zeta = interface_width(p, bc)
+def _heights(g: GridConfig, zeta: float) -> np.ndarray:
+    """The heights of g's uniform grid on [-L, L], L = g.half_width_in_zeta * zeta;
+    InvalidConfig where its spacing overflows."""
     h = 2.0 * g.half_width_in_zeta * zeta / (g.n_points - 1)
     if not math.isfinite(h):  # a finite h keeps every node |y| <= h * (n - 1) / 2 finite
         raise InvalidConfig(f"grid end half_width_in_zeta * zeta = {g.half_width_in_zeta!r} "
                             f"* {zeta!r} overflows")
-    # build y as exact integer multiples of h so the midpoint is exactly 0
-    y = h * (np.arange(g.n_points, dtype=float) - (g.n_points - 1) // 2)
+    # y as exact integer multiples of h, so the midpoint is exactly 0
+    return h * (np.arange(g.n_points, dtype=float) - (g.n_points - 1) // 2)
+
+
+def closed_profile(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfig()) -> Profile:
+    """The tanh front with slaved entropy on the requested grid."""
+    y = _heights(g, interface_width(p, bc))
     rho = tanh_front(p, bc, y)
     s = entropy_slave(p, rho, bc.delta_t)
     return Profile(y=y, rho=rho, s=s, bc=bc, provenance="closed-form")
@@ -366,8 +371,9 @@ _MAX_DAMPING = 20  # step halvings allowed per iteration
 # _MAX_NODES while a level's last two Chebyshev coefficients of rho exceed
 # _TAIL times the density jump, a hundredth of the _GATE on the profile.
 # 40 intervals resolve the default box up to delta_t ~ 0.06, and their
-# Newton system of 78 unknowns stays below the 100 from which OpenBLAS
-# factors on several threads, whose hand-offs stall on a busy machine.
+# bordered Newton system of 79 unknowns (39 interior nodes of two fields,
+# and c) stays below the 100 from which OpenBLAS factors on several
+# threads, whose hand-offs stall on a busy machine.
 _FIRST_NODES = 40
 _MAX_NODES = 320
 _TAIL = 1e-8
@@ -460,43 +466,40 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions,
     """Solve the coupled two-field boundary-value problem by bordered Newton.
 
     The equations are collocated on a _Level of the box [-L, L] of g, with
-    Dirichlet data from the exact bulk states, and solved by _newton.  The
-    first level has _FIRST_NODES Chebyshev intervals and the closed front
-    scaled by 1 / tanh(L / 2 zeta) for seed, which meets the bulk densities
-    smoothly at +-L.  A level whose last two Chebyshev coefficients of rho
-    exceed _TAIL times the density jump seeds the next, with twice the
-    intervals, by its interpolant, and past _MAX_NODES UnderResolved is
-    raised; seed_points and seed_iterations record the level before the
-    last (0 for none).  g.n_points only sets the uniform grid on which the
-    last level's interpolant is returned, exactly rho_c at y = 0 and the
-    bulk states at +-L.
+    Dirichlet data from the exact bulk states, and solved by _newton, whose
+    failure on any level is the solve's.  The first level has _FIRST_NODES
+    Chebyshev intervals and the closed front scaled by 1 / tanh(L / 2 zeta)
+    for seed, which meets the bulk densities smoothly at +-L.  A level whose
+    last two Chebyshev coefficients of rho exceed _TAIL times the density
+    jump seeds the next, with twice the intervals, by its interpolant, and
+    past _MAX_NODES UnderResolved is raised; seed_points and seed_iterations
+    record the level before the last (0 for none).  g.n_points only sets
+    the uniform grid on which the last level's interpolant is returned,
+    exactly rho_c at y = 0 and the bulk states at +-L.
 
-    The first resolved level is judged by its report (see _newton): its
-    failure is raised as it is.  A solve that is not converged held the
-    front only by a real force: the box truncates the tails, and
-    UndecayedTail is raised with the report instead of returning the
-    truncated profile.  A solution that leaves the bracket of the bulk
-    densities raises NewtonDiverged.
+    A resolved level that is not converged held the front only by a real
+    force: the box truncates the tails, and UndecayedTail is raised with
+    the report instead of returning the truncated profile.  A solution that
+    leaves the bracket of the bulk densities raises NewtonDiverged.
     """
-    closed = closed_profile(p, bc, g)
-    liquid, vapor = bulk_states(p, bc)
     zeta = interface_width(p, bc)
+    y = _heights(g, zeta)
+    liquid, vapor = bulk_states(p, bc)
     jump = liquid.rho - vapor.rho
     m_v, m_l = vapor.rho - p.rho_c, liquid.rho - p.rho_c
 
     def front(level: _Level) -> tuple[np.ndarray, np.ndarray]:
         # the scaled closed front and its slaved entropy on the level's nodes
-        t = np.tanh(level.y / (2.0 * zeta))
-        m = 0.5 * (m_l + m_v) + 0.5 * (m_l - m_v) * (t / t[-1])
+        t = tanh_front(p, bc, level.y) - p.rho_c
+        m = t * (m_l / t[-1])
         return m, entropy_slave(p, p.rho_c + m, bc.delta_t)
 
-    level = _Level(_FIRST_NODES, closed.y[-1], 4.0 * zeta)
+    level = _Level(_FIRST_NODES, y[-1], 4.0 * zeta)
     m, s = front(level)
     seed_points = seed_iterations = 0
     while True:
         m[[0, -1]], s[[0, -1]] = (m_v, m_l), (vapor.s, liquid.s)  # the Dirichlet data
-        m, s, report, failure = _newton(p, bc, level, front(level), m, s,
-                                        seed_points, seed_iterations)
+        m, s, report = _newton(p, bc, level, front(level), m, s, seed_points, seed_iterations)
         tail = float(np.max(np.abs(level.cheb[-2:] @ m)))
         if tail <= _TAIL * jump:
             break
@@ -508,24 +511,22 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions,
         finer = _Level(2 * level.n, level.y[-1], level.ell)
         m, s = level.values_at(np.stack([m, s]), finer.y)
         seed_points, seed_iterations, level = level.n, report.iterations, finer
-    if failure is not None:
-        raise failure
     if not report.converged:
         raise UndecayedTail(
             f"holding the front at y = 0 takes a force c = {report.phase_force:.3e}: the "
             f"equations' residual is {report.residual_norm:.3e} > {_TOL:.1e}, so the box of "
             f"half_width_in_zeta = {g.half_width_in_zeta:g} truncates the tails; widen it",
             report)
-    rho, s = level.values_at(np.stack([m, s]), closed.y)
+    rho, s = level.values_at(np.stack([m, s]), y)
     rho += p.rho_c
-    rho[[0, closed.mid_index, -1]] = vapor.rho, p.rho_c, liquid.rho
+    rho[[0, y.size // 2, -1]] = vapor.rho, p.rho_c, liquid.rho
     s[[0, -1]] = vapor.s, liquid.s
     slack = _GATE * jump
     if np.min(rho) < vapor.rho - slack or np.max(rho) > liquid.rho + slack:
         raise NewtonDiverged(
             "converged iterate leaves the physical density bracket "
             f"[{vapor.rho:.6g}, {liquid.rho:.6g}]")
-    return Profile(y=closed.y, rho=rho, s=s, bc=bc, provenance="full-solver"), report
+    return Profile(y=y, rho=rho, s=s, bc=bc, provenance="full-solver"), report
 
 
 def _newton(p: FluidParams, bc: BulkConditions, level: _Level,
@@ -533,19 +534,18 @@ def _newton(p: FluidParams, bc: BulkConditions, level: _Level,
             seed_points: int, seed_iterations: int):
     """Bordered Newton on level's nodes from the seed (m, s), m = rho - rho_c.
 
-    Returns (m, s, report, failure), failure the error the loop stopped
-    with, unraised, or None.  A wide box leaves the front nearly free to
+    Returns (m, s, report).  A wide box leaves the front nearly free to
     translate, so the system is bordered (Beyn, IMA J. Numer. Anal. 10,
     1990): a scalar c joins the unknowns, the equations become
     G = F + c*psi with psi the translation mode of front, the same function
     of y whatever the level and the seed, and the phase condition
-    rho(0) = rho_c pins the front.  Each step is one dense solve of
-    [-G, psi]; the phase row fixes dc, and the step is z1 - dc*z2, halved
-    up to _MAX_DAMPING times until max|G| falls.  A non-finite or singular
-    system, a step the phase row cannot fix and a failed line search fail
-    with NewtonDiverged, and _MAX_ITER iterations with MaxIterations; a
-    line search that fails with max|G| already below |c| * max|psi| has
-    met the rounding floor of G, which ends the loop.
+    rho(0) = rho_c pins the front.  Each step and its dc are one dense
+    solve of [[J, psi], [e_k^T, 0]] against [-G; rho_c - rho(0)], the step
+    halved up to _MAX_DAMPING times until max|G| falls.  A non-finite or
+    singular system and a failed line search raise NewtonDiverged, and
+    _MAX_ITER iterations MaxIterations, each with the report so far; a line
+    search that fails with max|G| already below |c| * max|psi| has met the
+    rounding floor of G, which ends the loop.
 
     The loop stops at max|G| <= _TOL.  The verdict is the equations' own:
     the report's residual_norm is max|F| at the last iterate and it is
@@ -554,6 +554,8 @@ def _newton(p: FluidParams, bc: BulkConditions, level: _Level,
     q = level.n - 1
     k = level.n // 2 - 1  # the unknown rho(0) among the interior unknowns [m; s]
     psi = np.concatenate([(level.dy[1:-1] @ f) for f in front])
+    phase = np.zeros((1, 2 * q + 1))  # the border's row e_k^T: the step's rho(0)
+    phase[0, k] = 1.0
 
     c = 0.0
     f = _collocation_residual(p, bc, level, m, s)
@@ -567,33 +569,23 @@ def _newton(p: FluidParams, bc: BulkConditions, level: _Level,
                             phase_force=c, residual_history=tuple(history),
                             seed_points=seed_points, seed_iterations=seed_iterations)
 
-    failure = None
     while not rnorm <= _TOL:  # a NaN residual enters the loop and meets the guard
         if len(history) >= _MAX_ITER:
-            failure = MaxIterations(
+            raise MaxIterations(
                 f"no convergence in {_MAX_ITER} iterations (residual {rnorm:.3e})",
                 report(rnorm))
-            break
-        jac = _collocation_jacobian(p, bc, level, m, s)
-        rhs = np.stack([-res, psi], axis=1)
-        if not (np.isfinite(jac).all() and np.isfinite(rhs).all()):
-            failure = NewtonDiverged(
-                f"non-finite Newton system at iteration {len(history)}", report(rnorm))
-            break
-        try:
-            z = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
-            failure = NewtonDiverged(
-                f"singular Jacobian at iteration {len(history)}", report(rnorm))
-            break
+        system = np.block([[_collocation_jacobian(p, bc, level, m, s), psi[:, None]], [phase]])
         gap = -m[k + 1]
-        dc = float((z[k, 0] - gap) / z[k, 1])
-        if not math.isfinite(dc):
-            failure = NewtonDiverged(
-                f"phase condition cannot fix the step at iteration {len(history)} "
-                f"(translation response {z[k, 1]:.3e})", report(rnorm))
-            break
-        step = z[:, 0] - dc * z[:, 1]
+        rhs = np.append(-res, gap)
+        if not (np.isfinite(system).all() and np.isfinite(rhs).all()):
+            raise NewtonDiverged(
+                f"non-finite Newton system at iteration {len(history)}", report(rnorm))
+        try:
+            z = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            raise NewtonDiverged(
+                f"singular Jacobian at iteration {len(history)}", report(rnorm)) from None
+        step, dc = z[:-1], float(z[-1])
         step[k] = gap  # the phase row holds exactly, not to rounding
         lam = 1.0
         for cuts in range(_MAX_DAMPING + 1):
@@ -614,15 +606,14 @@ def _newton(p: FluidParams, bc: BulkConditions, level: _Level,
                 # holds the front: the bordered problem is solved, and the
                 # verdict on F names the force
                 break
-            failure = NewtonDiverged(
+            raise NewtonDiverged(
                 f"residual stuck at {rnorm:.3e} after {_MAX_DAMPING} step halvings",
                 report(rnorm))
-            break
         m, s, c, f, res, rnorm = trial_m, trial_s, trial_c, trial_f, trial_res, trial_norm
         damping.append(cuts)
         history.append(rnorm)
     plain = float(np.max(np.abs(f)))
-    return m, s, report(plain, converged=plain <= _TOL), failure
+    return m, s, report(plain, converged=plain <= _TOL)
 
 
 def interface_observables(p: FluidParams, bc: BulkConditions,

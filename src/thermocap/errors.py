@@ -40,8 +40,8 @@ class UnderResolved(ModelError):
 
 
 class NewtonDiverged(ModelError):
-    """Newton failed: a non-finite system, a singular Jacobian, a step the phase row
-    cannot fix, a failed line search, or an iterate outside the density bracket."""
+    """Newton failed: a non-finite system, a singular Jacobian, a failed line
+    search, or an iterate outside the density bracket."""
 
 
 class MaxIterations(ModelError):

@@ -595,14 +595,15 @@ def _config_documents():
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(command=st.sampled_from(["profile", "celerity", "sweep", "check"]),
+@given(command=st.sampled_from(["profile", "profile --full", "celerity", "sweep", "check"]),
        doc=_config_documents())
 # the delta_T = 0.1 row reaches rho_v < 0: sweep fails that row (exit 4,
 # named only on stdout), and check at that undercooling exits 3
 @example(command="sweep", doc={"params": {"A": 1.0, "B": 0.0625}})
 @example(command="check", doc={"params": {"A": 1.0, "B": 0.0625}, "delta_T": 0.1})
-# the node coordinates of this box overflow; closed_profile refuses it
+# the node coordinates of this box overflow; both routes refuse it (exit 2)
 @example(command="profile", doc={"grid": {"half_width_in_zeta": 1e308}})
+@example(command="profile --full", doc={"grid": {"half_width_in_zeta": 1e308}})
 # the bulk densities sit two ulps apart at delta_T = 0.1 and coincide below:
 # sweep fails its rows (exit 4) instead of a band-edge search raising
 @example(command="sweep", doc={"params": {"A": 8e-32, "B": 0.5}})
@@ -618,7 +619,7 @@ def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, capsys, command,
 
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
-    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    rc = cli.main([*command.split(), "--config", str(cfg), "--out", str(tmp_path / "out")])
     out, err = capsys.readouterr()
     assert rc in (0, 2, 3, 4)
     verdict = [line for line in out.splitlines()

@@ -377,13 +377,15 @@ def test_full_solve_handles_the_large_undercooling():
 
 
 def _recorded_levels(monkeypatch):
-    # every level's (n, m, s, report, failure), in the order the ladder solves them
+    # every level's (level, m, s, report), in the order the ladder solves
+    # them; a level whose Newton raises is recorded as (level,)
     levels = []
     real = equilibrium._newton
 
     def recording(p, bc, level, *args):
+        levels.append((level,))
         out = real(p, bc, level, *args)
-        levels.append((level, *out))
+        levels[-1] += out
         return out
 
     monkeypatch.setattr(equilibrium, "_newton", recording)
@@ -401,8 +403,8 @@ def test_bordered_newton_pins_the_front_at_the_large_undercooling(monkeypatch):
     assert report.converged and report.iterations <= 4
     assert report.damping_history == (0,) * report.iterations
     assert prof.rho[prof.mid_index] == P0.rho_c
-    level, m, s, last, failure = levels[-1]
-    assert last is report and failure is None
+    level, m, s, last = levels[-1]
+    assert last is report
     assert m[level.n // 2] == 0.0 and level.y[level.n // 2] == 0.0
     plain = np.max(np.abs(_collocation_residual(P0, bc, level, m, s)))
     assert plain == report.residual_norm <= report.tolerance
@@ -432,8 +434,7 @@ def test_line_search_rescues_a_strongly_coupled_solve(monkeypatch):
 def test_line_search_refuses_a_stalled_solve_with_report(monkeypatch):
     # with two halvings per step the same solve takes one damped step, then
     # no halving lowers the residual: the first level stops at the halving
-    # budget instead of taking an uphill step, and so does the finer level
-    # it seeds, at once, whose report records the damped step
+    # budget instead of taking an uphill step, and its failure is the solve's
     monkeypatch.setattr(equilibrium, "_MAX_DAMPING", 2)
     levels = _recorded_levels(monkeypatch)
     p = FluidParams(D=-0.5, E=0.3)
@@ -441,9 +442,10 @@ def test_line_search_refuses_a_stalled_solve_with_report(monkeypatch):
     with pytest.raises(NewtonDiverged, match="after 2 step halvings") as info:
         solve_full_bvp(p, bc, GridConfig(half_width_in_zeta=40.0, n_points=1001))
     report = info.value.report
-    assert report is not None and not report.converged and report.iterations == 0
-    assert levels[0][3].damping_history == (2,) and isinstance(levels[0][4], NewtonDiverged)
-    assert (report.seed_points, report.seed_iterations) == (levels[0][0].n, 1)
+    assert report is not None and not report.converged and report.iterations == 1
+    assert report.damping_history == (2,)
+    assert [level.n for level, *_ in levels] == [equilibrium._FIRST_NODES]
+    assert report.seed_points == report.seed_iterations == 0
 
 
 def test_too_short_box_raises_undecayed_tail_with_report():
@@ -506,7 +508,7 @@ def test_an_unresolved_level_seeds_a_finer_one(monkeypatch):
     grid = GridConfig(half_width_in_zeta=40.0, n_points=1001)
     _, report = solve_full_bvp(p, bc, grid)
     assert [level.n for level, *_ in levels] == [40, 80, 160]
-    assert not any(coarse.converged for _, _, _, coarse, _ in levels[:-1])
+    assert not any(coarse.converged for _, _, _, coarse in levels[:-1])
     assert report.converged and report.damping_history == (0,) * report.iterations
     assert (report.seed_points, report.seed_iterations) == (80, levels[1][3].iterations)
     assert report.to_dict()["seed_points"] == 80
@@ -520,16 +522,18 @@ def test_an_unresolved_level_seeds_a_finer_one(monkeypatch):
     assert info.value.report is levels[-1][3]
 
 
-def test_a_failed_unresolved_level_still_seeds_the_finer_one(monkeypatch):
+def test_a_failed_unresolved_level_is_the_verdict(monkeypatch):
     # delta_t = 0.1 needs three steps on 40 intervals: with a budget of two
-    # the first level fails with its tail undecayed, and that failure is not
-    # the verdict; its iterate seeds 80 intervals, which converge in one
+    # the first level fails with its tail undecayed, and that failure is
+    # raised at once, not refined
     levels = _recorded_levels(monkeypatch)
     monkeypatch.setattr(equilibrium, "_MAX_ITER", 2)
-    _, report = solve_full_bvp(P0, bulk_conditions(P0, delta_t=0.1))
-    assert [level.n for level, *_ in levels] == [40, 80]
-    assert isinstance(levels[0][4], MaxIterations)
-    assert report.converged and (report.seed_points, report.seed_iterations) == (40, 2)
+    with pytest.raises(MaxIterations, match="^no convergence in 2 iterations") as info:
+        solve_full_bvp(P0, bulk_conditions(P0, delta_t=0.1))
+    assert [level.n for level, *_ in levels] == [equilibrium._FIRST_NODES]
+    report = info.value.report
+    assert report.iterations == 2 and not report.converged
+    assert report.seed_points == report.seed_iterations == 0
 
 
 def _max_iter_one(monkeypatch):
@@ -540,21 +544,23 @@ def _singular_on_the_finer_level(monkeypatch):
     _singular_on_call(monkeypatch, 4)  # the first level at delta_t = 0.1 takes three solves
 
 
-@pytest.mark.parametrize("error, fault, message", [
-    (MaxIterations, _max_iter_one, "^no convergence in 1 iterations"),
-    (NewtonDiverged, _singular_on_the_finer_level, "^singular Jacobian at iteration 0"),
+@pytest.mark.parametrize("error, fault, message, ladder, counts", [
+    (MaxIterations, _max_iter_one, "^no convergence in 1 iterations", [40], (1, 0, 0)),
+    (NewtonDiverged, _singular_on_the_finer_level, "^singular Jacobian at iteration 0",
+     [40, 80], (0, 40, 3)),
 ])
-def test_the_finest_level_failure_keeps_its_class(monkeypatch, error, fault, message):
-    # the coarser level's failure or success only seeds 80 intervals, whose
-    # own failure is the solve's, with a report naming the level before it
+def test_the_finest_level_failure_keeps_its_class(monkeypatch, error, fault, message, ladder,
+                                                  counts):
+    # the level whose Newton fails is the last the ladder tries: its failure
+    # is the solve's, with a report naming the level before it (0 for none)
     levels = _recorded_levels(monkeypatch)
     fault(monkeypatch)
     with pytest.raises(error, match=message) as info:
         solve_full_bvp(P0, bulk_conditions(P0, delta_t=0.1))
-    assert [level.n for level, *_ in levels] == [40, 80]
+    assert [level.n for level, *_ in levels] == ladder
     report = info.value.report
-    assert report.iterations == levels[-1][3].iterations and not report.converged
-    assert (report.seed_points, report.seed_iterations) == (40, levels[0][3].iterations)
+    assert not report.converged
+    assert (report.iterations, report.seed_points, report.seed_iterations) == counts
 
 
 def test_under_resolved_profile_exits_3_from_the_cli(monkeypatch, capsys, tmp_path):
@@ -677,7 +683,7 @@ def test_every_newton_report_counts_its_own_history(monkeypatch):
     _singular_on_call(monkeypatch, 2)
     with pytest.raises(NewtonDiverged, match="singular Jacobian at iteration 1"):
         solve_full_bvp(P0, BC)
-    assert len(reports) == 14
+    assert len(reports) == 9
     assert sum(r.iterations > 0 and not r.converged for r in reports) >= 4
     for r in reports:
         assert r.iterations == len(r.residual_history) == len(r.damping_history), r
@@ -688,8 +694,8 @@ def _overshooting_newton(monkeypatch):
     real = equilibrium._newton
 
     def overshooting(*args):
-        m, s, report, failure = real(*args)
-        return 1.5 * m, s, report, failure
+        m, s, report = real(*args)
+        return 1.5 * m, s, report
 
     monkeypatch.setattr(equilibrium, "_newton", overshooting)
 
