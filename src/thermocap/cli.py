@@ -6,12 +6,12 @@ observables, ``celerity`` the tangential wave speed by both routes,
 cross-module invariant suite; ``sweep`` and ``check`` print their
 PASS/FAIL verdict table.  Everything is deterministic: one seed (from
 the config or --seed) drives all sampling and is recorded in every JSON
-artifact, and floats are written with 17 significant digits.  Commands
-only compute; one publisher writes a run's artifacts all or none, each to
-a temp name, all renamed once every one is written.  A config that
-repeats a key in any object is refused.  ``main(argv)`` may be called
-repeatedly in one process: the parser is built on the first call, and
-every call writes what the same command line would.
+artifact, and JSON and CSV write each float in its shortest round-trip
+form.  Commands only compute; one publisher writes a run's artifacts all
+or none, each to a temp name, all renamed once every one is written.  A
+config that repeats a key in any object is refused.  ``main(argv)`` may
+be called repeatedly in one process: the parser is built on the first
+call, and every call writes what the same command line would.
 
 Exit codes: 0 success; 2 configuration or validation error (a grid of
 more than 1000001 nodes and an artifact path that cannot be written among
@@ -56,39 +56,25 @@ _LOCUS_KEYS = ("rho", "a", "g2")
 # deterministic serialization
 # ---------------------------------------------------------------------------
 
-def _format_json(value, indent: int = 0) -> str:
-    """Render JSON with sorted keys and 17-significant-digit floats.
-
-    The stdlib encoder prints floats in shortest round-trip form, which is
-    deterministic but not fixed-width; this one pins the representation so
-    artifacts are byte-stable across platforms and python versions.
-    Non-finite floats become null (strict JSON has no NaN).
-    """
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+def _plain(value):
+    """The value as json.dumps takes it: -0.0 as 0.0, non-finite floats as None,
+    numpy scalars as Python numbers, mappings and tuples as dicts and lists."""
+    if isinstance(value, (str, int, type(None))):  # bool is an int
+        return value
     if isinstance(value, (float, np.floating)):
         v = float(value) + 0.0  # fold -0.0 into 0.0
-        return f"{v:.17g}" if math.isfinite(v) else "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, Mapping):
-        if not value:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {_format_json(value[k], indent + 2)}'
-                 for k in sorted(value)]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return v if math.isfinite(v) else None
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{_format_json(v, indent + 2)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        return [_plain(v) for v in value]
+    if isinstance(value, Mapping):
+        return {k: _plain(v) for k, v in value.items()}
+    return int(value) if isinstance(value, np.integer) else value
+
+
+def _format_json(value) -> str:
+    """Render strict JSON with sorted keys, a 2-space indent and every float
+    in its shortest round-trip form, which holds the value bit for bit."""
+    return json.dumps(_plain(value), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _publish(cfg: RunConfig, artifacts: Mapping[str, object]) -> None:
@@ -367,7 +353,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a grid the machine cannot allocate
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

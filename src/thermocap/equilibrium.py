@@ -696,7 +696,7 @@ def equilibrium_stress_residual(p: FluidParams, prof: Profile) -> float:
 
 
 def profile_to_csv(prof: Profile, stream) -> None:
-    """Write the profile as CSV with header y,rho,s and 17 significant digits."""
+    """Write the profile as CSV with header y,rho,s, each float in shortest round-trip form."""
     stream.write("y,rho,s\n")
-    for y, rho, s in zip(prof.y, prof.rho, prof.s):
-        stream.write(f"{y:.17g},{rho:.17g},{s:.17g}\n")
+    for row in zip(prof.y.tolist(), prof.rho.tolist(), prof.s.tolist()):
+        stream.write("%r,%r,%r\n" % row)

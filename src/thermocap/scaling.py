@@ -315,7 +315,7 @@ def verify_exponents(report: ScalingReport) -> VerificationSummary:
 
 
 def report_to_csv(report: ScalingReport, stream) -> None:
-    """One row per undercooling, headers fixed, 17 significant digits."""
+    """One row per undercooling, headers fixed, each float in shortest round-trip form."""
     stream.write(CSV_HEADER + "\n")
     for r in report.rows:
-        stream.write(",".join(f"{getattr(r, name):.17g}" for name in _CSV_COLUMNS) + "\n")
+        stream.write(",".join(repr(float(getattr(r, name))) for name in _CSV_COLUMNS) + "\n")

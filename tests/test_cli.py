@@ -426,7 +426,7 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path, args):
 
 
 def test_json_output_is_normalized(tmp_path):
-    # 17-significant-digit floats, no negative zero, no bare NaN tokens
+    # floats in shortest round-trip form, no negative zero, no bare NaN tokens
     for args in (("celerity",), ("sweep", "--full")):
         _, out = run_cli(tmp_path, *args, out="norm_" + args[0])
         for path in out.glob("*.json"):
@@ -434,6 +434,107 @@ def test_json_output_is_normalized(tmp_path):
             assert "-0," not in text and "-0\n" not in text, path
             assert "NaN" not in text and "Infinity" not in text, path
             json.loads(text)  # must stay strictly parseable
+
+
+def test_floats_repr_in_their_shortest_round_trip_form():
+    # every artifact float is its repr, so artifacts are byte-stable across
+    # platforms only where repr is the shortest round-trip form (every
+    # CPython build on IEEE-754 hardware); the "legacy" style writes 17 digits
+    assert sys.float_repr_style == "short"
+
+
+class _FloatText(str):
+    """A JSON float token's text, as json.loads hands it to parse_float."""
+
+
+def _float_texts(value):
+    if isinstance(value, _FloatText):
+        yield value
+    elif isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _float_texts(item)
+
+
+@pytest.mark.parametrize("args", [
+    ("profile",), ("profile", "--full"), ("celerity",), ("sweep",), ("sweep", "--full"),
+    ("check",),
+])
+def test_every_artifact_float_is_its_shortest_round_trip_text(tmp_path, args):
+    proc, out = run_cli(tmp_path, *args, "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    tokens = []
+    for path in sorted(out.iterdir()):
+        text = path.read_text()
+        if path.suffix == ".json":
+            tokens += _float_texts(json.loads(text, parse_float=_FloatText))
+        else:  # every CSV value is a float
+            tokens += [tok for line in text.splitlines()[1:] for tok in line.split(",")]
+    assert tokens
+    longer = [tok for tok in tokens if tok != repr(float(tok))]
+    assert not longer, longer[:5]
+
+
+def _bits(rows):
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_profile_artifacts_hold_the_librarys_values_bit_for_bit(tmp_path, full):
+    from thermocap import (FluidParams, GridConfig, bulk_conditions, bulk_states,
+                           closed_profile, interface_observables, solve_full_bvp)
+
+    proc, out = run_cli(tmp_path, "profile", *["--full"] * full, "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    p = FluidParams()
+    bc = bulk_conditions(p, delta_t=0.01)
+    prof = (solve_full_bvp(p, bc, GridConfig())[0] if full
+            else closed_profile(p, bc, GridConfig()))
+    obs = read_json(out / "observables.json")
+    assert obs["rho_l"].hex() == bulk_states(p, bc)[0].rho.hex()
+    expected = interface_observables(p, bc, prof).to_dict()
+    assert _bits([[obs[k] for k in expected]]) == _bits([expected.values()])
+    rows = [line.split(",") for line in (out / "profile.csv").read_text().splitlines()[1:]]
+    assert _bits(rows) == _bits(zip(prof.y, prof.rho, prof.s))
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_sweep_csv_holds_the_librarys_rows_bit_for_bit(tmp_path, full):
+    from thermocap import FluidParams, run_sweep
+    from thermocap.scaling import CSV_HEADER, SweepConfig
+
+    proc, out = run_cli(tmp_path, "sweep", *["--full"] * full, "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    report = run_sweep(FluidParams(), SweepConfig(use_full_solver=full))
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert _bits(rows) == _bits([getattr(r, name) for name in CSV_HEADER.split(",")]
+                                for r in report.rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(), n=st.integers(-2 ** 63, 2 ** 63 - 1))
+@example(x=5e-324, n=0)
+@example(x=-0.0, n=-1)
+@example(x=math.inf, n=0)
+@example(x=-math.inf, n=0)
+@example(x=math.nan, n=0)
+def test_format_json_writes_each_value_back_exactly(x, n):
+    # finite floats (subnormals too, and numpy's) come back bit for bit, -0.0
+    # as 0.0, non-finite floats as null; numpy integers come back as ints,
+    # tuples and read-only mappings as lists and objects
+    import types
+
+    import numpy as np
+
+    from thermocap import cli
+
+    doc = {"x": x, "np": np.float64(x), "n": np.int64(n), "t": (x,),
+           "m": types.MappingProxyType({"x": x})}
+    back = json.loads(cli._format_json(doc))
+    want = (x + 0.0).hex() if math.isfinite(x) else None
+    for got in (back["x"], back["np"], back["t"][0], back["m"]["x"]):
+        assert (got if got is None else got.hex()) == want
+    assert type(back["n"]) is int and back["n"] == n
+    assert type(back["t"]) is list and type(back["m"]) is dict
 
 
 # ---------------------------------------------------------------------------
