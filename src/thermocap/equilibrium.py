@@ -72,8 +72,8 @@ __all__ = [
 
 
 # the largest grid: the stress certificate peaks near 140 B per node and a
-# full solve near 70 (past the few MB of its collocation), so a run on it
-# needs about 140 MB
+# full solve near 35 (past the 1.5 MB of its collocation and interpolation
+# table), so a run on it needs about 140 MB
 _MAX_POINTS = 1_000_001
 # the share of the density jump by which a profile's ends may miss the bulk
 # densities and its interior overshoot them
@@ -377,7 +377,9 @@ _MAX_DAMPING = 20  # step halvings allowed per iteration
 _FIRST_NODES = 40
 _MAX_NODES = 320
 _TAIL = 1e-8
-_BLOCK = 4096  # heights per block of _Level.values_at, which holds n + 1 doubles for each
+# heights per block of _Level.values_at, which holds n + 1 doubles for each:
+# 1.3 MB at 80 intervals, inside a 2 MB L2 cache
+_BLOCK = 2048
 
 
 @functools.cache
@@ -420,19 +422,37 @@ class _Level:
         self.d2 = self.dy @ self.dy
 
     def values_at(self, f: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The interpolants of the rows of nodal values f at heights y, T_k by recurrence."""
-        x = y * math.sqrt(self.a) / np.sqrt(self.ell ** 2 + y * y)  # the map's inverse
+        """The interpolants sum_k c_k T_k(x(y)) of the rows of nodal values f at heights y.
+
+        y must be mirror-symmetric, y[::-1] == -y bit for bit, as _heights
+        and every level's nodes are; any other grid raises ValueError.  The
+        inverse map x(y) is odd and T_k(-x) = (-1)^k T_k(x), so the T_k are
+        built by recurrence on the heights y >= 0 alone, _BLOCK at a time in
+        one reused table, and one product with [c; (-1)^k c] gives every row
+        at y and at -y.
+        """
+        if not np.array_equal(y[::-1], -y):
+            raise ValueError("values_at needs mirror-symmetric heights, y[::-1] == -y")
+        rows, mid = f.shape[0], y.size // 2
+        half = y[mid:]
+        x = half * math.sqrt(self.a) / np.sqrt(self.ell ** 2 + half * half)  # the map's inverse
         c = f @ self.cheb.T
-        out = np.empty((f.shape[0], x.size))
+        signed = np.concatenate([c, c])
+        signed[rows:, 1::2] *= -1.0
+        out = np.empty((rows, y.size))
+        table = np.empty((self.n + 1, min(_BLOCK, x.size)))
         for lo in range(0, x.size, _BLOCK):
             xb = x[lo:lo + _BLOCK]
+            t = table[:, :xb.size]
             x2 = 2.0 * xb
-            t = np.empty((self.n + 1, xb.size))
             t[0], t[1] = 1.0, xb
             for k in range(1, self.n):
                 np.multiply(x2, t[k], out=t[k + 1])
                 t[k + 1] -= t[k - 1]
-            out[:, lo:lo + _BLOCK] = c @ t
+            both = signed @ t
+            # at lo = 0 both write y = 0, where the odd T_k vanish and they agree
+            out[:, y.size - mid - lo - xb.size:y.size - mid - lo] = both[rows:, ::-1]
+            out[:, mid + lo:mid + lo + xb.size] = both[:rows]
         return out
 
 
@@ -554,8 +574,9 @@ def _newton(p: FluidParams, bc: BulkConditions, level: _Level,
     q = level.n - 1
     k = level.n // 2 - 1  # the unknown rho(0) among the interior unknowns [m; s]
     psi = np.concatenate([(level.dy[1:-1] @ f) for f in front])
-    phase = np.zeros((1, 2 * q + 1))  # the border's row e_k^T: the step's rho(0)
-    phase[0, k] = 1.0
+    system = np.zeros((2 * q + 1, 2 * q + 1))  # [[J, psi], [e_k^T, 0]], J written per iteration
+    system[:-1, -1] = psi
+    system[-1, k] = 1.0  # the border's row e_k^T: the step's rho(0)
 
     c = 0.0
     f = _collocation_residual(p, bc, level, m, s)
@@ -574,7 +595,7 @@ def _newton(p: FluidParams, bc: BulkConditions, level: _Level,
             raise MaxIterations(
                 f"no convergence in {_MAX_ITER} iterations (residual {rnorm:.3e})",
                 report(rnorm))
-        system = np.block([[_collocation_jacobian(p, bc, level, m, s), psi[:, None]], [phase]])
+        system[:-1, :-1] = _collocation_jacobian(p, bc, level, m, s)
         gap = -m[k + 1]
         rhs = np.append(-res, gap)
         if not (np.isfinite(system).all() and np.isfinite(rhs).all()):

@@ -626,8 +626,54 @@ def test_collocation_level_interpolates_its_own_nodes():
     np.testing.assert_array_equal(_Level(128, 30.0, 8.0).y[::2], level.y)
     f = np.stack([np.tanh(level.y / 4.0), np.exp(-level.y ** 2 / 50.0)])
     np.testing.assert_allclose(level.values_at(f, level.y), f, rtol=0, atol=1e-14)
-    y = np.linspace(-30.0, 30.0, 9001)  # two blocks of values_at and part of a third
+    # exactly mirror-symmetric, as values_at requires; its 4501 heights y >= 0
+    # fill two blocks of values_at and part of a third
+    y = 30.0 * np.arange(-4500, 4501) / 4500
     np.testing.assert_allclose(level.values_at(f, y)[0], np.tanh(y / 4.0), rtol=0, atol=1e-9)
+
+
+def _converged_levels(monkeypatch) -> dict:
+    # {intervals: (level, [m; s])} of the delta_t = 0.1 solve, whose ladder
+    # converges on 40 intervals and then on 80, as each hands them to values_at
+    seen = {}
+    values_at = _Level.values_at
+
+    def spy(level, f, y):
+        seen[level.n] = (level, f)
+        return values_at(level, f, y)
+
+    monkeypatch.setattr(_Level, "values_at", spy)
+    solve_full_bvp(P0, bulk_conditions(P0, delta_t=0.1))
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("n", [51, 1001, 16001])
+@pytest.mark.parametrize("intervals", [40, 80])
+def test_values_at_matches_the_direct_chebyshev_sum(monkeypatch, intervals, n):
+    # values_at builds T_k on y >= 0 and mirrors it by parity; on a converged
+    # m (nearly odd) and s (nearly even), both with even and odd terms, it
+    # agrees with the direct sum of c_k cos(k arccos x) at every height of the
+    # output grid (chebval's Clenshaw recurrence is itself up to 2e-15 off it)
+    level, f = _converged_levels(monkeypatch)[intervals]
+    assert level.n == intervals
+    y = equilibrium._heights(GridConfig(n_points=n), level.ell / 4.0)
+    assert y[-1] == level.y[-1]
+    x = y * math.sqrt(level.a) / np.sqrt(level.ell ** 2 + y * y)
+    direct = (f @ level.cheb.T) @ np.cos(np.outer(np.arange(intervals + 1), np.arccos(x)))
+    scale = np.max(np.abs(f), axis=1, keepdims=True)
+    assert np.all(np.abs(level.values_at(f, y) - direct) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("y", [
+    np.linspace(-30.0, 30.0, 9001),          # off by rounding: max|y[::-1] + y| is 7e-15
+    30.0 * np.arange(-4500, 4501) / 4500 + 1e-3,
+    30.0 * np.arange(-4500, 4500) / 4500,    # one end short
+])
+def test_values_at_refuses_a_grid_that_is_not_mirror_symmetric(y):
+    level = _Level(40, 30.0, 8.0)
+    with pytest.raises(ValueError, match="mirror-symmetric"):
+        level.values_at(np.stack([np.tanh(level.y / 4.0)]), y)
 
 
 def test_iteration_cap_raises_max_iterations_with_report(monkeypatch):
@@ -807,9 +853,9 @@ def test_collocation_jacobian_matches_finite_differences(p, dt, n):
 
 
 def test_full_solve_footprint_per_node():
-    # a solve holds the few MB of its collocation and of one block of
-    # interpolation, and about 70 B per node beside them: at n = 16001 it
-    # peaks near 390 B per node at delta_t = 0.1
+    # a solve holds about 1.5 MB of its collocation and of the one table of
+    # interpolation, and about 35 B per node beside them: at n = 16001 it
+    # peaks near 130 B per node at delta_t = 0.1
     n = 16001
     g = GridConfig(n_points=n)
     bc = bulk_conditions(P0, delta_t=0.1)
@@ -820,7 +866,7 @@ def test_full_solve_footprint_per_node():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n <= 450.0
+    assert peak / n <= 160.0
 
 
 def test_singular_newton_system_raises_with_report(monkeypatch, capsys, tmp_path):
