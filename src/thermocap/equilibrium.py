@@ -370,13 +370,20 @@ _MAX_DAMPING = 20  # step halvings allowed per iteration
 # Chebyshev intervals (even, so that y = 0 is a node) and doubles them up to
 # _MAX_NODES while a level's last two Chebyshev coefficients of rho exceed
 # _TAIL times the density jump, a hundredth of the _GATE on the profile.
-# 40 intervals resolve the default box up to delta_t ~ 0.06, and their
-# bordered Newton system of 79 unknowns (39 interior nodes of two fields,
-# and c) stays below the 100 from which OpenBLAS factors on several
-# threads, whose hand-offs stall on a busy machine.
+# 40 intervals resolve the default box up to the delta_t ~ 0.12 where it
+# refuses the tails, and their bordered Newton system of 79 unknowns (39
+# interior nodes of two fields, and c) stays below the 100 from which
+# OpenBLAS factors on several threads, whose hand-offs stall on a busy
+# machine.
 _FIRST_NODES = 40
 _MAX_NODES = 320
 _TAIL = 1e-8
+# the map scale ell in interface widths.  The map's branch points x = +-sqrt(a)
+# bound how fast the coefficients decay (Boyd 2001, ch. 17): on the 15-width
+# box at delta_t = 0.1, ell = 4 puts them at +-1.035 and leaves the last
+# coefficients of rho at 40 intervals 2.7e-8 of the jump, past _TAIL; ell = 6
+# puts them at +-1.077 and leaves 1.4e-9
+_MAP_SCALE = 6.0
 # heights per block of _Level.values_at, which holds n + 1 doubles for each:
 # 1.3 MB at 80 intervals, inside a 2 MB L2 cache
 _BLOCK = 2048
@@ -408,8 +415,8 @@ class _Level:
 
     y = ell x / sqrt(a - x^2), a = 1 + (ell / L)^2, sends +-1 to +-L and
     half of the nodes within about ell of the front (Boyd, Chebyshev and
-    Fourier Spectral Methods, 2001, ch. 17); dy and d2 differentiate nodal
-    values in y.
+    Fourier Spectral Methods, 2001, ch. 17); solve_full_bvp takes ell =
+    _MAP_SCALE widths.  dy and d2 differentiate nodal values in y.
     """
 
     def __init__(self, n: int, half_width: float, ell: float):
@@ -485,17 +492,20 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions,
                    g: GridConfig = GridConfig()) -> tuple[Profile, NewtonReport]:
     """Solve the coupled two-field boundary-value problem by bordered Newton.
 
-    The equations are collocated on a _Level of the box [-L, L] of g, with
-    Dirichlet data from the exact bulk states, and solved by _newton, whose
-    failure on any level is the solve's.  The first level has _FIRST_NODES
-    Chebyshev intervals and the closed front scaled by 1 / tanh(L / 2 zeta)
+    The equations are collocated on a _Level of the box [-L, L] of g, L =
+    g.half_width_in_zeta * zeta and ell = _MAP_SCALE * zeta, with Dirichlet
+    data from the exact bulk states, and solved by _newton, whose failure
+    on any level is the solve's.  The first level has _FIRST_NODES
+    Chebyshev intervals, which resolve the default box wherever it holds
+    the tails, and the closed front scaled by 1 / tanh(L / 2 zeta)
     for seed, which meets the bulk densities smoothly at +-L.  A level whose
     last two Chebyshev coefficients of rho exceed _TAIL times the density
     jump seeds the next, with twice the intervals, by its interpolant, and
     past _MAX_NODES UnderResolved is raised; seed_points and seed_iterations
     record the level before the last (0 for none).  g.n_points only sets
     the uniform grid on which the last level's interpolant is returned,
-    exactly rho_c at y = 0 and the bulk states at +-L.
+    exactly rho_c at y = 0 and the bulk states at +-L, so the report does
+    not depend on it.
 
     A resolved level that is not converged held the front only by a real
     force: the box truncates the tails, and UndecayedTail is raised with
@@ -514,7 +524,8 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions,
         m = t * (m_l / t[-1])
         return m, entropy_slave(p, p.rho_c + m, bc.delta_t)
 
-    level = _Level(_FIRST_NODES, y[-1], 4.0 * zeta)
+    # on L as g states it, not on y[-1] = h (n - 1) / 2, whose rounding varies with n
+    level = _Level(_FIRST_NODES, g.half_width_in_zeta * zeta, _MAP_SCALE * zeta)
     m, s = front(level)
     seed_points = seed_iterations = 0
     while True:

@@ -404,6 +404,26 @@ def test_check_passes_at_gauge_constants_the_solver_answers(tmp_path, capsys, pa
     assert capsys.readouterr().out.splitlines()[-1] == "13/13 checks passed"
 
 
+@pytest.mark.parametrize("config", [
+    {"delta_T": 0.05},
+    {"delta_T": 0.1, "grid": {"half_width_in_zeta": 20}},
+    {"params": {"C": 6.31, "D": -0.715, "E": 0.297, "rho_c": 0.805}, "delta_T": 0.297,
+     "grid": {"n_points": 2243}},
+], ids=["dT=0.05", "wide-box", "strong-coupling"])
+def test_check_passes_where_the_tail_test_once_hid_a_failing_stress_row(tmp_path, capsys, config):
+    # with the map scale at 4 widths each solve stopped on 40 intervals, whose
+    # coefficient tail passed _TAIL while the stress certificate read 1.1e-7,
+    # 5.6e-7 and 2.1e-7 over its 1e-7, and check exited 4; at 6 widths the
+    # first two stop there at 2.5e-9 and 1.5e-8, and the third refines to 80
+    # intervals and reads 3.1e-10
+    from thermocap import cli
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "13/13 checks passed"
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -61,6 +61,9 @@ from thermocap.errors import (
 
 P0 = FluidParams()
 BC = bulk_conditions(P0, delta_t=0.01)
+# a strongly coupled fluid whose delta_t = 0.1 front on the default box still
+# takes two collocation levels, 40 and 80 intervals, each converged
+P_REFINED = FluidParams(D=-0.5, E=0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +489,18 @@ def test_too_short_box_is_refused_alike_on_every_grid(n):
     assert report.residual_norm == pytest.approx(1.289e-4, rel=1e-3)
 
 
-@pytest.mark.parametrize("dt, ladder", [(1e-1, [40, 80]), (8e-2, [40, 80]), (5e-2, [40]),
-                                        (1e-2, [40]), (1e-4, [40]), (1e-6, [40])])
-def test_default_box_is_resolved_within_two_levels(monkeypatch, dt, ladder):
-    # 40 intervals resolve the default box to delta_t ~ 0.06; above it the
-    # front is steep enough for one more level
+@pytest.mark.parametrize("p, dt, half_width, ladder", [
+    (P0, 1e-1, 15.0, [40]), (P0, 8e-2, 15.0, [40]), (P0, 5e-2, 15.0, [40]),
+    (P0, 1e-2, 15.0, [40]), (P0, 1e-4, 15.0, [40]), (P0, 1e-6, 15.0, [40]),
+    (P_REFINED, 0.5, 40.0, [40, 80, 160]),
+])
+def test_default_box_is_resolved_within_two_levels(monkeypatch, p, dt, half_width, ladder):
+    # with the map scale at 6 widths, 40 intervals resolve the default
+    # constants on their box up to the delta_t ~ 0.12 where it refuses the
+    # tails; the strongly coupled front on 40 widths still needs 160
     levels = _recorded_levels(monkeypatch)
-    _, report = solve_full_bvp(P0, bulk_conditions(P0, delta_t=dt))
+    _, report = solve_full_bvp(p, bulk_conditions(p, delta_t=dt),
+                               GridConfig(half_width_in_zeta=half_width))
     assert [level.n for level, *_ in levels] == ladder
     assert report.seed_points == (ladder[-2] if len(ladder) > 1 else 0)
 
@@ -523,13 +531,13 @@ def test_an_unresolved_level_seeds_a_finer_one(monkeypatch):
 
 
 def test_a_failed_unresolved_level_is_the_verdict(monkeypatch):
-    # delta_t = 0.1 needs three steps on 40 intervals: with a budget of two
-    # the first level fails with its tail undecayed, and that failure is
-    # raised at once, not refined
+    # P_REFINED at delta_t = 0.1 needs three steps on 40 intervals and then
+    # 80: with a budget of two the first level fails with its tail
+    # undecayed, and that failure is raised at once, not refined
     levels = _recorded_levels(monkeypatch)
     monkeypatch.setattr(equilibrium, "_MAX_ITER", 2)
     with pytest.raises(MaxIterations, match="^no convergence in 2 iterations") as info:
-        solve_full_bvp(P0, bulk_conditions(P0, delta_t=0.1))
+        solve_full_bvp(P_REFINED, bulk_conditions(P_REFINED, delta_t=0.1))
     assert [level.n for level, *_ in levels] == [equilibrium._FIRST_NODES]
     report = info.value.report
     assert report.iterations == 2 and not report.converged
@@ -541,22 +549,22 @@ def _max_iter_one(monkeypatch):
 
 
 def _singular_on_the_finer_level(monkeypatch):
-    _singular_on_call(monkeypatch, 4)  # the first level at delta_t = 0.1 takes three solves
+    _singular_on_call(monkeypatch, 4)  # the first level of P_REFINED takes three solves
 
 
-@pytest.mark.parametrize("error, fault, message, ladder, counts", [
-    (MaxIterations, _max_iter_one, "^no convergence in 1 iterations", [40], (1, 0, 0)),
-    (NewtonDiverged, _singular_on_the_finer_level, "^singular Jacobian at iteration 0",
-     [40, 80], (0, 40, 3)),
+@pytest.mark.parametrize("p, error, fault, message, ladder, counts", [
+    (P0, MaxIterations, _max_iter_one, "^no convergence in 1 iterations", [40], (1, 0, 0)),
+    (P_REFINED, NewtonDiverged, _singular_on_the_finer_level,
+     "^singular Jacobian at iteration 0", [40, 80], (0, 40, 3)),
 ])
-def test_the_finest_level_failure_keeps_its_class(monkeypatch, error, fault, message, ladder,
+def test_the_finest_level_failure_keeps_its_class(monkeypatch, p, error, fault, message, ladder,
                                                   counts):
     # the level whose Newton fails is the last the ladder tries: its failure
     # is the solve's, with a report naming the level before it (0 for none)
     levels = _recorded_levels(monkeypatch)
     fault(monkeypatch)
     with pytest.raises(error, match=message) as info:
-        solve_full_bvp(P0, bulk_conditions(P0, delta_t=0.1))
+        solve_full_bvp(p, bulk_conditions(p, delta_t=0.1))
     assert [level.n for level, *_ in levels] == ladder
     report = info.value.report
     assert not report.converged
@@ -564,11 +572,11 @@ def test_the_finest_level_failure_keeps_its_class(monkeypatch, error, fault, mes
 
 
 def test_under_resolved_profile_exits_3_from_the_cli(monkeypatch, capsys, tmp_path):
-    # delta_t = 0.1 needs 80 intervals: capped at 40, the CLI refuses it
-    # with the documented numerical-failure exit and writes nothing
+    # P_REFINED at delta_t = 0.1 needs 80 intervals: capped at 40, the CLI
+    # refuses it with the documented numerical-failure exit and writes nothing
     monkeypatch.setattr(equilibrium, "_MAX_NODES", 40)
     cfg = tmp_path / "config.json"
-    cfg.write_text('{"delta_T": 0.1}')
+    cfg.write_text('{"params": {"D": -0.5, "E": 0.3}, "delta_T": 0.1}')
     out = tmp_path / "out"
     assert cli.main(["profile", "--full", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -618,6 +626,34 @@ def test_every_grid_samples_the_one_interpolant(n):
     np.testing.assert_allclose(prof.s[::every], ref.s[::stride], rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("dt, half_width", [(1e-2, 15.0), (2.2e-4, 10.0), (2.215e-4, 10.0)])
+def test_the_report_does_not_depend_on_how_the_grid_end_rounds(dt, half_width):
+    # the grid's last height h (n - 1) / 2 rounds to a neighbour of
+    # L = half_width * zeta at some n; the collocation is built on L itself,
+    # so every grid gets one report (built on the grid's end, n = 51 and 201
+    # got other residuals in these cases)
+    bc = bulk_conditions(P0, delta_t=dt)
+    grids = [GridConfig(half_width_in_zeta=half_width, n_points=n) for n in (51, 201, 1001, 2001)]
+    ends = {equilibrium._heights(g, interface_width(P0, bc))[-1] for g in grids}
+    assert len(ends) > 1
+    reports = [solve_full_bvp(P0, bc, g)[1] for g in grids]
+    assert all(report == reports[0] for report in reports)
+
+
+@pytest.mark.parametrize("dt", [1e-1, 8e-2, 5e-2, 1e-2, 1e-4])
+def test_the_solved_density_is_within_1e8_of_a_320_interval_solve(monkeypatch, dt):
+    # one level of 40 intervals answers each of these (8e-10 to 2.6e-9 of
+    # the jump; with the map scale at 4 widths, 5e-2 read 1.7e-8)
+    bc = bulk_conditions(P0, delta_t=dt)
+    prof, report = solve_full_bvp(P0, bc)
+    assert report.seed_points == 0
+    monkeypatch.setattr(equilibrium, "_FIRST_NODES", 320)
+    ref, ref_report = solve_full_bvp(P0, bc)
+    assert ref_report.converged and ref_report.seed_points == 0
+    liquid, vapor = bulk_states(P0, bc)
+    assert np.max(np.abs(prof.rho - ref.rho)) <= 1e-8 * (liquid.rho - vapor.rho)
+
+
 def test_collocation_level_interpolates_its_own_nodes():
     # the interpolant through a level's nodal values reproduces them, and
     # the nodes of n are the even nodes of 2n, bit for bit
@@ -633,8 +669,9 @@ def test_collocation_level_interpolates_its_own_nodes():
 
 
 def _converged_levels(monkeypatch) -> dict:
-    # {intervals: (level, [m; s])} of the delta_t = 0.1 solve, whose ladder
-    # converges on 40 intervals and then on 80, as each hands them to values_at
+    # {intervals: (level, [m; s])} of P_REFINED's delta_t = 0.1 solve, whose
+    # ladder converges on 40 intervals and then on 80, as each hands them to
+    # values_at
     seen = {}
     values_at = _Level.values_at
 
@@ -643,7 +680,7 @@ def _converged_levels(monkeypatch) -> dict:
         return values_at(level, f, y)
 
     monkeypatch.setattr(_Level, "values_at", spy)
-    solve_full_bvp(P0, bulk_conditions(P0, delta_t=0.1))
+    solve_full_bvp(P_REFINED, bulk_conditions(P_REFINED, delta_t=0.1))
     monkeypatch.undo()
     return seen
 
@@ -657,7 +694,7 @@ def test_values_at_matches_the_direct_chebyshev_sum(monkeypatch, intervals, n):
     # output grid (chebval's Clenshaw recurrence is itself up to 2e-15 off it)
     level, f = _converged_levels(monkeypatch)[intervals]
     assert level.n == intervals
-    y = equilibrium._heights(GridConfig(n_points=n), level.ell / 4.0)
+    y = equilibrium._heights(GridConfig(n_points=n), level.ell / equilibrium._MAP_SCALE)
     assert y[-1] == level.y[-1]
     x = y * math.sqrt(level.a) / np.sqrt(level.ell ** 2 + y * y)
     direct = (f @ level.cheb.T) @ np.cos(np.outer(np.arange(intervals + 1), np.arccos(x)))
@@ -855,14 +892,15 @@ def test_collocation_jacobian_matches_finite_differences(p, dt, n):
 def test_full_solve_footprint_per_node():
     # a solve holds about 1.5 MB of its collocation and of the one table of
     # interpolation, and about 35 B per node beside them: at n = 16001 it
-    # peaks near 130 B per node at delta_t = 0.1
+    # peaks near 130 B per node where it takes two levels, as P_REFINED does
+    # at delta_t = 0.1 (one level reads about 80)
     n = 16001
     g = GridConfig(n_points=n)
-    bc = bulk_conditions(P0, delta_t=0.1)
-    solve_full_bvp(P0, bc, g)  # caches the Lobatto nodes outside the trace
+    bc = bulk_conditions(P_REFINED, delta_t=0.1)
+    solve_full_bvp(P_REFINED, bc, g)  # caches the Lobatto nodes outside the trace
     tracemalloc.start()
     try:
-        solve_full_bvp(P0, bc, g)
+        solve_full_bvp(P_REFINED, bc, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
