@@ -475,17 +475,15 @@ def _collocation_residual(p: FluidParams, bc: BulkConditions, level: _Level, m: 
 
 def _collocation_jacobian(p: FluidParams, bc: BulkConditions, level: _Level, m: np.ndarray,
                           s: np.ndarray) -> np.ndarray:
-    """Dense Jacobian of _collocation_residual in the interior unknowns [m; s]."""
-    lap = level.d2[1:-1, 1:-1]
-    q = len(lap)
-    jac = np.empty((2 * q, 2 * q))
-    jac[:q, :q], jac[:q, q:], jac[q:, :q], jac[q:, q:] = p.C * lap, p.D * lap, p.D * lap, p.E * lap
+    """Dense Jacobian of _collocation_residual in the interior unknowns [m; s]: K (x) D2
+    with K = [[C, D], [D, E]], less the bulk Hessian on its four block diagonals."""
+    # K (x) D2 as blocks jac[a, :, b, :] = K[a, b] D2: np.kron's product, without
+    # its Python-level set-up, which costs more than the product at 40 intervals
+    jac = np.array([[p.C, p.D], [p.D, p.E]])[:, None, :, None] * level.d2[1:-1, None, 1:-1]
     h_rr, h_rs, h_ss = bulk_energy_hessian(p, p.rho_c + m[1:-1], s[1:-1], bc.delta_t)
-    i, j = np.arange(q), np.arange(q, 2 * q)
-    # less the Hessian on the blocks' diagonals; d(F_1)/ds == d(F_2)/drho
-    jac[np.concatenate([i, i, j, j]), np.concatenate([i, j, i, j])] -= np.concatenate(
-        [h_rr, h_rs, h_rs, h_ss])
-    return jac
+    # the blocks' diagonals, a view of jac; d(F_1)/ds == d(F_2)/drho
+    np.einsum("ikjk->ijk", jac)[...] -= [[h_rr, h_rs], [h_rs, h_ss]]
+    return jac.reshape(2 * h_rr.size, -1)
 
 
 def solve_full_bvp(p: FluidParams, bc: BulkConditions,
@@ -502,10 +500,13 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions,
     last two Chebyshev coefficients of rho exceed _TAIL times the density
     jump seeds the next, with twice the intervals, by its interpolant, and
     past _MAX_NODES UnderResolved is raised; seed_points and seed_iterations
-    record the level before the last (0 for none).  g.n_points only sets
-    the uniform grid on which the last level's interpolant is returned,
-    exactly rho_c at y = 0 and the bulk states at +-L, so the report does
-    not depend on it.
+    record the level before the last (0 for none).  A level carries its
+    nodal values as one (2, n + 1) array u = [rho - rho_c; s], which _newton
+    returns with its report, and builds its front once, for the translation
+    mode and, on the first level, the seed.  g.n_points only sets the
+    uniform grid on which the last level's interpolant is returned, exactly
+    rho_c at y = 0 and the bulk states at +-L, so the report does not
+    depend on it.
 
     A resolved level that is not converged held the front only by a real
     force: the box truncates the tails, and UndecayedTail is raised with
@@ -516,22 +517,24 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions,
     y = _heights(g, zeta)
     liquid, vapor = bulk_states(p, bc)
     jump = liquid.rho - vapor.rho
-    m_v, m_l = vapor.rho - p.rho_c, liquid.rho - p.rho_c
+    # the Dirichlet data of u = [rho - rho_c; s] at -L and +L
+    ends = np.array([[vapor.rho - p.rho_c, liquid.rho - p.rho_c], [vapor.s, liquid.s]])
 
-    def front(level: _Level) -> tuple[np.ndarray, np.ndarray]:
-        # the scaled closed front and its slaved entropy on the level's nodes
+    def front(level: _Level) -> np.ndarray:
+        # the scaled closed front and its slaved entropy on the level's nodes, as u
         t = tanh_front(p, bc, level.y) - p.rho_c
-        m = t * (m_l / t[-1])
-        return m, entropy_slave(p, p.rho_c + m, bc.delta_t)
+        m = t * (ends[0, 1] / t[-1])
+        return np.stack([m, entropy_slave(p, p.rho_c + m, bc.delta_t)])
 
     # on L as g states it, not on y[-1] = h (n - 1) / 2, whose rounding varies with n
     level = _Level(_FIRST_NODES, g.half_width_in_zeta * zeta, _MAP_SCALE * zeta)
-    m, s = front(level)
+    closed = front(level)
+    u = closed.copy()  # the seed; closed keeps the front's own ends for the translation mode
     seed_points = seed_iterations = 0
     while True:
-        m[[0, -1]], s[[0, -1]] = (m_v, m_l), (vapor.s, liquid.s)  # the Dirichlet data
-        m, s, report = _newton(p, bc, level, front(level), m, s, seed_points, seed_iterations)
-        tail = float(np.max(np.abs(level.cheb[-2:] @ m)))
+        u[:, [0, -1]] = ends
+        u, report = _newton(p, bc, level, closed, u, seed_points, seed_iterations)
+        tail = float(np.max(np.abs(level.cheb[-2:] @ u[0])))
         if tail <= _TAIL * jump:
             break
         if level.n >= _MAX_NODES:
@@ -540,7 +543,7 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions,
                 f"a coefficient tail of {tail / jump:.1e} of the density jump > {_TAIL:.0e}",
                 report)
         finer = _Level(2 * level.n, level.y[-1], level.ell)
-        m, s = level.values_at(np.stack([m, s]), finer.y)
+        u, closed = level.values_at(u, finer.y), front(finer)
         seed_points, seed_iterations, level = level.n, report.iterations, finer
     if not report.converged:
         raise UndecayedTail(
@@ -548,10 +551,10 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions,
             f"equations' residual is {report.residual_norm:.3e} > {_TOL:.1e}, so the box of "
             f"half_width_in_zeta = {g.half_width_in_zeta:g} truncates the tails; widen it",
             report)
-    rho, s = level.values_at(np.stack([m, s]), y)
+    rho, s = level.values_at(u, y)
     rho += p.rho_c
     rho[[0, y.size // 2, -1]] = vapor.rho, p.rho_c, liquid.rho
-    s[[0, -1]] = vapor.s, liquid.s
+    s[[0, -1]] = ends[1]
     slack = _GATE * jump
     if np.min(rho) < vapor.rho - slack or np.max(rho) > liquid.rho + slack:
         raise NewtonDiverged(
@@ -560,38 +563,36 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions,
     return Profile(y=y, rho=rho, s=s, bc=bc, provenance="full-solver"), report
 
 
-def _newton(p: FluidParams, bc: BulkConditions, level: _Level,
-            front: tuple[np.ndarray, np.ndarray], m: np.ndarray, s: np.ndarray,
-            seed_points: int, seed_iterations: int):
-    """Bordered Newton on level's nodes from the seed (m, s), m = rho - rho_c.
+def _newton(p: FluidParams, bc: BulkConditions, level: _Level, front: np.ndarray,
+            u: np.ndarray, seed_points: int, seed_iterations: int):
+    """Bordered Newton on level's nodes from the seed u = [rho - rho_c; s].
 
-    Returns (m, s, report).  A wide box leaves the front nearly free to
-    translate, so the system is bordered (Beyn, IMA J. Numer. Anal. 10,
-    1990): a scalar c joins the unknowns, the equations become
-    G = F + c*psi with psi the translation mode of front, the same function
-    of y whatever the level and the seed, and the phase condition
-    rho(0) = rho_c pins the front.  Each step and its dc are one dense
-    solve of [[J, psi], [e_k^T, 0]] against [-G; rho_c - rho(0)], the step
-    halved up to _MAX_DAMPING times until max|G| falls.  A non-finite or
-    singular system and a failed line search raise NewtonDiverged, and
-    _MAX_ITER iterations MaxIterations, each with the report so far; a line
-    search that fails with max|G| already below |c| * max|psi| has met the
-    rounding floor of G, which ends the loop.
+    Returns (u, report), u the (2, n + 1) nodal values at the last iterate.
+    A wide box leaves the front nearly free to translate, so the system is
+    bordered (Beyn, IMA J. Numer. Anal. 10, 1990): a scalar c joins the
+    unknowns, the equations become G = F + c*psi with psi the translation
+    mode of front, the same function of y whatever the level and the seed,
+    and the phase condition rho(0) = rho_c pins the front.  Each step and
+    its dc are one dense solve of [[J, psi], [e_k^T, 0]] against
+    [-G; rho_c - rho(0)], the step halved up to _MAX_DAMPING times until
+    max|G| falls.  A non-finite or singular system and a failed line search
+    raise NewtonDiverged, and _MAX_ITER iterations MaxIterations, each with
+    the report so far; a line search that fails with max|G| already below
+    |c| * max|psi| has met the rounding floor of G, which ends the loop.
 
     The loop stops at max|G| <= _TOL.  The verdict is the equations' own:
     the report's residual_norm is max|F| at the last iterate and it is
     converged when max|F| <= _TOL, which fails where c is a real force.
     """
     q = level.n - 1
-    k = level.n // 2 - 1  # the unknown rho(0) among the interior unknowns [m; s]
+    k = level.n // 2 - 1  # the unknown rho(0) among the interior unknowns u[:, 1:-1]
     psi = np.concatenate([(level.dy[1:-1] @ f) for f in front])
     system = np.zeros((2 * q + 1, 2 * q + 1))  # [[J, psi], [e_k^T, 0]], J written per iteration
     system[:-1, -1] = psi
     system[-1, k] = 1.0  # the border's row e_k^T: the step's rho(0)
 
     c = 0.0
-    f = _collocation_residual(p, bc, level, m, s)
-    res = f  # G = F + c*psi, with c = 0 at the seed
+    res = f = _collocation_residual(p, bc, level, *u)  # G = F + c*psi, with c = 0 at the seed
     rnorm = float(np.max(np.abs(res)))
     history: list[float] = []
     damping: list[int] = []
@@ -606,8 +607,8 @@ def _newton(p: FluidParams, bc: BulkConditions, level: _Level,
             raise MaxIterations(
                 f"no convergence in {_MAX_ITER} iterations (residual {rnorm:.3e})",
                 report(rnorm))
-        system[:-1, :-1] = _collocation_jacobian(p, bc, level, m, s)
-        gap = -m[k + 1]
+        system[:-1, :-1] = _collocation_jacobian(p, bc, level, *u)
+        gap = -u[0, k + 1]
         rhs = np.append(-res, gap)
         if not (np.isfinite(system).all() and np.isfinite(rhs).all()):
             raise NewtonDiverged(
@@ -617,21 +618,18 @@ def _newton(p: FluidParams, bc: BulkConditions, level: _Level,
         except np.linalg.LinAlgError:
             raise NewtonDiverged(
                 f"singular Jacobian at iteration {len(history)}", report(rnorm)) from None
-        step, dc = z[:-1], float(z[-1])
-        step[k] = gap  # the phase row holds exactly, not to rounding
-        lam = 1.0
+        step, dc = z[:-1].reshape(2, q), float(z[-1])
+        step[0, k] = gap  # the phase row holds exactly, not to rounding
         for cuts in range(_MAX_DAMPING + 1):
-            trial_m = m.copy()
-            trial_s = s.copy()
-            trial_m[1:-1] += lam * step[:q]
-            trial_s[1:-1] += lam * step[q:]
+            lam = 0.5 ** cuts
+            trial = u.copy()
+            trial[:, 1:-1] += lam * step
             trial_c = c + lam * dc
-            trial_f = _collocation_residual(p, bc, level, trial_m, trial_s)
+            trial_f = _collocation_residual(p, bc, level, *trial)
             trial_res = trial_f + trial_c * psi
             trial_norm = float(np.max(np.abs(trial_res)))
             if trial_norm < rnorm or trial_norm <= _TOL:
                 break
-            lam *= 0.5
         else:  # no halving lowered max|G|
             if rnorm < abs(c) * float(np.max(np.abs(psi))):
                 # G is stuck at its rounding floor, below the force that
@@ -641,11 +639,11 @@ def _newton(p: FluidParams, bc: BulkConditions, level: _Level,
             raise NewtonDiverged(
                 f"residual stuck at {rnorm:.3e} after {_MAX_DAMPING} step halvings",
                 report(rnorm))
-        m, s, c, f, res, rnorm = trial_m, trial_s, trial_c, trial_f, trial_res, trial_norm
+        u, c, f, res, rnorm = trial, trial_c, trial_f, trial_res, trial_norm
         damping.append(cuts)
         history.append(rnorm)
     plain = float(np.max(np.abs(f)))
-    return m, s, report(plain, converged=plain <= _TOL)
+    return u, report(plain, converged=plain <= _TOL)
 
 
 def interface_observables(p: FluidParams, bc: BulkConditions,

@@ -273,7 +273,7 @@ def test_check_certifies_the_delta_t_forms_at_any_gauge():
     p = FluidParams(mu_c=1e12, T_c=1e12, p_c=1e12)
     rows = {c["name"]: c for c in run_checks(p, bulk_conditions(p, delta_t=0.01),
                                              GridConfig(), 0)}
-    assert len(rows) == 13 and all(c["passed"] for c in rows.values()), rows
+    assert len(rows) == 12 and all(c["passed"] for c in rows.values()), rows
     for name in ("eos-partials-vs-finite-difference", "eos-hessian-vs-finite-difference",
                  "bulk-states-at-coexistence"):
         assert rows[name]["metric"] <= 1e-2 * rows[name]["threshold"], rows[name]

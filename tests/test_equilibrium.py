@@ -380,8 +380,9 @@ def test_full_solve_handles_the_large_undercooling():
 
 
 def _recorded_levels(monkeypatch):
-    # every level's (level, m, s, report), in the order the ladder solves
-    # them; a level whose Newton raises is recorded as (level,)
+    # every level's (level, u, report), u = [rho - rho_c; s] at its nodes, in
+    # the order the ladder solves them; a level whose Newton raises is
+    # recorded as (level,)
     levels = []
     real = equilibrium._newton
 
@@ -406,10 +407,10 @@ def test_bordered_newton_pins_the_front_at_the_large_undercooling(monkeypatch):
     assert report.converged and report.iterations <= 4
     assert report.damping_history == (0,) * report.iterations
     assert prof.rho[prof.mid_index] == P0.rho_c
-    level, m, s, last = levels[-1]
+    level, u, last = levels[-1]
     assert last is report
-    assert m[level.n // 2] == 0.0 and level.y[level.n // 2] == 0.0
-    plain = np.max(np.abs(_collocation_residual(P0, bc, level, m, s)))
+    assert u[0, level.n // 2] == 0.0 and level.y[level.n // 2] == 0.0
+    plain = np.max(np.abs(_collocation_residual(P0, bc, level, *u)))
     assert plain == report.residual_norm <= report.tolerance
     assert len(report.residual_history) == report.iterations
     assert report.residual_history[-1] <= report.tolerance
@@ -428,7 +429,7 @@ def test_line_search_rescues_a_strongly_coupled_solve(monkeypatch):
     levels = _recorded_levels(monkeypatch)
     _, report = solve_full_bvp(p, bc, grid)
     assert report.converged and report.residual_norm <= report.tolerance
-    assert sum(levels[0][3].damping_history) > 0
+    assert sum(levels[0][2].damping_history) > 0
     monkeypatch.setattr(equilibrium, "_MAX_DAMPING", 0)
     with pytest.raises(NewtonDiverged, match="after 0 step halvings"):
         solve_full_bvp(p, bc, grid)
@@ -516,9 +517,9 @@ def test_an_unresolved_level_seeds_a_finer_one(monkeypatch):
     grid = GridConfig(half_width_in_zeta=40.0, n_points=1001)
     _, report = solve_full_bvp(p, bc, grid)
     assert [level.n for level, *_ in levels] == [40, 80, 160]
-    assert not any(coarse.converged for _, _, _, coarse in levels[:-1])
+    assert not any(coarse.converged for _, _, coarse in levels[:-1])
     assert report.converged and report.damping_history == (0,) * report.iterations
-    assert (report.seed_points, report.seed_iterations) == (80, levels[1][3].iterations)
+    assert (report.seed_points, report.seed_iterations) == (80, levels[1][2].iterations)
     assert report.to_dict()["seed_points"] == 80
     for (level, *_), (finer, *_) in zip(levels, levels[1:]):
         assert np.array_equal(finer.y[::2], level.y)
@@ -527,7 +528,7 @@ def test_an_unresolved_level_seeds_a_finer_one(monkeypatch):
     monkeypatch.setattr(equilibrium, "_MAX_NODES", 80)
     with pytest.raises(UnderResolved, match="80 Chebyshev intervals") as info:
         solve_full_bvp(p, bc, grid)
-    assert info.value.report is levels[-1][3]
+    assert info.value.report is levels[-1][2]
 
 
 def test_a_failed_unresolved_level_is_the_verdict(monkeypatch):
@@ -777,8 +778,8 @@ def _overshooting_newton(monkeypatch):
     real = equilibrium._newton
 
     def overshooting(*args):
-        m, s, report = real(*args)
-        return 1.5 * m, s, report
+        u, report = real(*args)
+        return u * [[1.5], [1.0]], report
 
     monkeypatch.setattr(equilibrium, "_newton", overshooting)
 
