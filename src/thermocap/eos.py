@@ -203,15 +203,19 @@ def bulk_energy(p: FluidParams, rho, s):
     return (p.B / (2.0 * p.A**2)) * (W * W + eta * eta) + p.mu_c * rho + p.T_c * eta - p.p_c
 
 
+def _quartic_d_rho(p: FluidParams, m, eta, W, s):
+    """d(rho*alpha)/drho less mu_c + T_c*s, from _quartic's variables."""
+    return p.B / p.A**2 * (W * (2.0 * p.A * m + s) + eta * s)
+
+
 def bulk_energy_partials(p: FluidParams, rho, s, delta_t=None):
     """Partial derivatives (d/drho, d/ds) of rho*alpha at fixed other variable.
 
     Given delta_t, those of rho*alpha - mu_c*rho - T0*rho*s, T0 = T_c - delta_t,
     the profile equations' bulk terms: mu_c and T_c cancel exactly, not in rounding."""
     m, eta, W = _quartic(p, rho, s)
-    coef = p.B / p.A**2
-    d_rho = coef * (W * (2.0 * p.A * m + s) + eta * s)
-    d_s = coef * rho * (W + eta)
+    d_rho = _quartic_d_rho(p, m, eta, W, s)
+    d_s = p.B / p.A**2 * rho * (W + eta)
     if delta_t is None:
         return d_rho + p.mu_c + p.T_c * s, d_s + p.T_c * rho
     return d_rho + delta_t * s, d_s + delta_t * rho
@@ -246,8 +250,8 @@ def enthalpy(p: FluidParams, rho, s):
 def pressure(p: FluidParams, rho, s):
     """Thermodynamic pressure of the bulk, P = rho*h0 - rho*alpha, written without the
     mu_c and T_c terms of h0 and rho*alpha, which cancel in P exactly, not in rounding."""
-    _, eta, W = _quartic(p, rho, s)
-    return (rho * bulk_energy_partials(p, rho, s, 0.0)[0]  # h0 - mu_c - T_c*s
+    m, eta, W = _quartic(p, rho, s)
+    return (rho * _quartic_d_rho(p, m, eta, W, s)  # h0 - mu_c - T_c*s
             - (p.B / (2.0 * p.A**2)) * (W * W + eta * eta) + p.p_c)
 
 

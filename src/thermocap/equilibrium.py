@@ -71,9 +71,9 @@ __all__ = [
 ]
 
 
-# the largest grid: the stress certificate peaks near 140 B per node and a
-# full solve near 35 (past the 1.5 MB of its collocation and interpolation
-# table), so a run on it needs about 140 MB
+# the largest grid: profile's CSV writer peaks near 120 B per node, check near
+# 80, the stress certificate near 32 and a full solve near 35 (past the 1.5 MB
+# of its collocation and interpolation table), so a run on it needs about 120 MB
 _MAX_POINTS = 1_000_001
 # the share of the density jump by which a profile's ends may miss the bulk
 # densities and its interior overshoot them
@@ -95,7 +95,7 @@ class GridConfig:
         object.__setattr__(self, "n_points", int(n))  # a numpy integer too
         if self.n_points > _MAX_POINTS:
             raise InvalidConfig(f"grid.n_points must be <= {_MAX_POINTS} (a run needs "
-                                "about 140 B per node)")
+                                "about 120 B per node)")
         if self.half_width_in_zeta < 8.0:
             raise InvalidConfig(
                 f"grid.half_width_in_zeta must be >= 8, got {self.half_width_in_zeta!r}"
@@ -189,8 +189,12 @@ class NewtonReport:
 # ---------------------------------------------------------------------------
 
 def derivative_4th(f: np.ndarray, h: float) -> np.ndarray:
-    """First derivative, 4th order: central interior, one-sided at the ends."""
+    """First derivative, 4th order: central interior, one-sided at the ends.
+
+    Every stencil spans 5 samples, so fewer raise ValueError."""
     f = np.asarray(f, dtype=float)
+    if f.size < 5:
+        raise ValueError(f"derivative_4th needs at least 5 samples, got {f.size}")
     d = np.empty_like(f)
     d[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
     d[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
@@ -667,6 +671,12 @@ def interface_observables(p: FluidParams, bc: BulkConditions,
 # Korteweg stress
 # ---------------------------------------------------------------------------
 
+# interior nodes per block of stress_yy_profile: each temporary is 64 KiB,
+# below glibc's 128 KiB trim and mmap threshold, so the heap pages it frees
+# are reused rather than faulted back in on every call, and inside L2
+_STRESS_BLOCK = 8192
+
+
 def stress_tensor(p: FluidParams, rho, s, grad_rho, grad_s, lap_rho, lap_s) -> np.ndarray:
     """Full capillary stress sigma_ij = -(P - rho div Phi) delta_ij - Phi_j rho_,i - Psi_j s_,i.
 
@@ -701,14 +711,21 @@ def stress_yy_profile(p: FluidParams, prof: Profile) -> tuple[np.ndarray, np.nda
     """Normal stress component along a 1-d profile (y the normal direction).
 
     Returns (y, sigma_yy) on the interior nodes 2..n-3 where the 4th-order
-    stencils apply: stress_tensor with y as its single space axis.
+    stencils apply: stress_tensor with y as its single space axis.  It is
+    evaluated _STRESS_BLOCK interior nodes at a time into one array, each
+    block with the 2 nodes on either side that its central stencils read,
+    so every node gets the arithmetic of one pass over the whole profile,
+    bit for bit, while the temporaries stay the size of a block.
     """
     h = prof.h
-    sigma = stress_tensor(p, prof.rho[2:-2], prof.s[2:-2],
-                          derivative_4th(prof.rho, h)[2:-2, None],
-                          derivative_4th(prof.s, h)[2:-2, None],
-                          second_derivative_4th(prof.rho, h), second_derivative_4th(prof.s, h))
-    return prof.y[2:-2], sigma[:, 0, 0]
+    sigma = np.empty(prof.y.size - 4)
+    for lo in range(0, sigma.size, _STRESS_BLOCK):
+        rho, s = prof.rho[lo:lo + _STRESS_BLOCK + 4], prof.s[lo:lo + _STRESS_BLOCK + 4]
+        sigma[lo:lo + _STRESS_BLOCK] = stress_tensor(
+            p, rho[2:-2], s[2:-2], derivative_4th(rho, h)[2:-2, None],
+            derivative_4th(s, h)[2:-2, None], second_derivative_4th(rho, h),
+            second_derivative_4th(s, h))[:, 0, 0]
+    return prof.y[2:-2], sigma
 
 
 def equilibrium_stress_residual(p: FluidParams, prof: Profile) -> float:

@@ -27,7 +27,7 @@ from thermocap import (
     validate_params,
 )
 from thermocap.checks import run_checks
-from thermocap.eos import BulkConditions, bulk_energy_hessian, check_keys, enthalpy
+from thermocap.eos import BulkConditions, _quartic, bulk_energy_hessian, check_keys, enthalpy
 from thermocap.equilibrium import GridConfig, bulk_states
 from thermocap.errors import (
     IndefiniteGradientForm,
@@ -263,6 +263,18 @@ def test_delta_t_forms_are_the_profile_equations_bulk_terms_free_of_the_gauge():
     # nor do mu_c and T_c move the pressure, in which they cancel
     assert np.array_equal(pressure(FluidParams(mu_c=1e6, T_c=1e6), rho, s),
                           pressure(P0, rho, s))
+
+
+def test_pressure_keeps_the_bits_of_the_enthalpy_route():
+    # P = rho*h0 - rho*alpha, h0 read off bulk_energy_partials' delta_t form
+    # at delta_t = 0 and rho*alpha less its gauge terms, on 10^4 random states
+    rng = np.random.default_rng(5)
+    rho, s = rng.uniform(0.01, 3.0, 10**4), rng.normal(scale=0.5, size=10**4)
+    for p in (P0, FluidParams(A=2.3, B=0.7, rho_c=1.3, mu_c=0.2, T_c=1.7, p_c=0.3, D=-0.5)):
+        _, eta, W = _quartic(p, rho, s)
+        route = (rho * bulk_energy_partials(p, rho, s, 0.0)[0]
+                 - (p.B / (2.0 * p.A**2)) * (W * W + eta * eta) + p.p_c)
+        assert np.array_equal(pressure(p, rho, s), route)
 
 
 def test_check_certifies_the_delta_t_forms_at_any_gauge():

@@ -11,6 +11,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1028,6 +1029,68 @@ def test_normal_stress_keeps_the_bits_of_the_one_component_formula():
     y, sigma_yy = stress_yy_profile(P0, prof)
     assert np.array_equal(y, prof.y[2:-2])
     assert np.array_equal(sigma_yy, expected)
+
+
+def _one_pass_sigma_yy(p, prof):
+    # stress_yy_profile's arithmetic in one pass over the whole profile
+    h = prof.h
+    return stress_tensor(p, prof.rho[2:-2], prof.s[2:-2], derivative_4th(prof.rho, h)[2:-2, None],
+                         derivative_4th(prof.s, h)[2:-2, None], second_derivative_4th(prof.rho, h),
+                         second_derivative_4th(prof.s, h))[:, 0, 0]
+
+
+_BLOCK = equilibrium._STRESS_BLOCK
+
+
+# n - 4 = k * _BLOCK + r interior nodes: one block, whole blocks, and last
+# blocks of 1 to 4 nodes after one and after two whole ones
+@pytest.mark.parametrize("n", [1001, _BLOCK + 4, 2 * _BLOCK + 4]
+                         + [k * _BLOCK + 4 + r for k in (1, 2) for r in (1, 2, 3, 4)])
+@pytest.mark.parametrize("route", ["closed", "solved"])
+def test_blocked_normal_stress_keeps_the_bits_of_one_pass(n, route):
+    # a coupling D < 0 and a pressure constant p_c != 0; an even n is the
+    # odd grid one node longer, cut at its top
+    p = FluidParams(p_c=0.3, D=-0.5, E=0.3)
+    bc = bulk_conditions(p, delta_t=0.01)
+    g = GridConfig(n_points=n | 1)
+    prof = closed_profile(p, bc, g) if route == "closed" else solve_full_bvp(p, bc, g)[0]
+    prof = Profile(prof.y[:n], prof.rho[:n], prof.s[:n], bc, prof.provenance)
+    y, sigma_yy = stress_yy_profile(p, prof)
+    assert np.array_equal(y, prof.y[2:-2])
+    assert np.array_equal(sigma_yy, _one_pass_sigma_yy(p, prof))
+    one_pass = derivative_4th(_one_pass_sigma_yy(replace(p, p_c=0.0), prof), prof.h)
+    assert equilibrium_stress_residual(p, prof) == float(np.max(np.abs(one_pass)))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_stress_certificate_names_the_five_sample_minimum(n):
+    # sigma_yy has n - 4 values, and its derivative needs 5 of them: a
+    # profile of 5 to 8 nodes is refused by name, one of 9 is certified
+    prof = closed_profile(P0, BC, GridConfig(n_points=51))
+    short = Profile(prof.y[23:23 + n], prof.rho[23:23 + n], prof.s[23:23 + n], BC, "short")
+    if n < 9:
+        with pytest.raises(ValueError, match="at least 5 samples"):
+            equilibrium_stress_residual(P0, short)
+    else:
+        assert math.isfinite(equilibrium_stress_residual(P0, short))
+    with pytest.raises(ValueError, match=f"at least 5 samples, got {n - 5}"):
+        derivative_4th(prof.rho[:n - 5], prof.h)
+
+
+def test_stress_certificate_footprint_per_node():
+    # its blocks hold a fixed few hundred KiB of temporaries; beyond them
+    # sigma_yy, its derivative and the derivative's temporaries hold about
+    # 32 B per node, and one unblocked pass over the profile about 136
+    n = 160001
+    prof = closed_profile(P0, BC, GridConfig(n_points=n))
+    equilibrium_stress_residual(P0, prof)
+    tracemalloc.start()
+    try:
+        equilibrium_stress_residual(P0, prof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 48.0
 
 
 def test_normal_stress_is_constant_and_equals_bulk_traction():
