@@ -71,9 +71,10 @@ __all__ = [
 ]
 
 
-# the largest grid: profile's CSV writer peaks near 120 B per node, check near
-# 80, the stress certificate near 32 and a full solve near 35 (past the 1.5 MB
-# of its collocation and interpolation table), so a run on it needs about 120 MB
+# the largest grid: check peaks near 72 B per node, profile and profile --full
+# near 48 (their CSV writer holds one block of rows), the stress certificate
+# near 24 and a full solve near 35 (past the 1.5 MB of its collocation and
+# interpolation table), so a run on it needs about 72 MB
 _MAX_POINTS = 1_000_001
 # the share of the density jump by which a profile's ends may miss the bulk
 # densities and its interior overshoot them
@@ -95,7 +96,7 @@ class GridConfig:
         object.__setattr__(self, "n_points", int(n))  # a numpy integer too
         if self.n_points > _MAX_POINTS:
             raise InvalidConfig(f"grid.n_points must be <= {_MAX_POINTS} (a run needs "
-                                "about 120 B per node)")
+                                "about 72 B per node)")
         if self.half_width_in_zeta < 8.0:
             raise InvalidConfig(
                 f"grid.half_width_in_zeta must be >= 8, got {self.half_width_in_zeta!r}"
@@ -188,26 +189,45 @@ class NewtonReport:
 # 4th-order finite-difference stencils (diagnostics only)
 # ---------------------------------------------------------------------------
 
+# the central stencils' integer kernels, as correlation windows: np.correlate
+# adds a window's five products in the order the slice form (f[:-4] - 8*f[1:-3]
+# + ...) adds them, and the divide by 12h (12h^2) comes last, as there
+_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
+_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
+
+
 def derivative_4th(f: np.ndarray, h: float) -> np.ndarray:
     """First derivative, 4th order: central interior, one-sided at the ends.
 
-    Every stencil spans 5 samples, so fewer raise ValueError."""
+    The interior is one correlation pass of f with the kernel
+    (1, -8, 0, 8, -1), divided by 12h.  Every stencil spans 5 samples, so
+    fewer raise ValueError."""
     f = np.asarray(f, dtype=float)
     if f.size < 5:
         raise ValueError(f"derivative_4th needs at least 5 samples, got {f.size}")
     d = np.empty_like(f)
-    d[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
-    d[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-    d[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
-    d[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
-    d[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
+    np.divide(np.correlate(f, _D1), 12.0 * h, out=d[2:-2])
+    a0, a1, a2, a3, a4 = f[:5].tolist()
+    b4, b3, b2, b1, b0 = f[-5:].tolist()  # b0 the last sample
+    d[0] = (-25.0 * a0 + 48.0 * a1 - 36.0 * a2 + 16.0 * a3 - 3.0 * a4) / (12.0 * h)
+    d[1] = (-3.0 * a0 - 10.0 * a1 + 18.0 * a2 - 6.0 * a3 + a4) / (12.0 * h)
+    d[-1] = (25.0 * b0 - 48.0 * b1 + 36.0 * b2 - 16.0 * b3 + 3.0 * b4) / (12.0 * h)
+    d[-2] = (3.0 * b0 + 10.0 * b1 - 18.0 * b2 + 6.0 * b3 - b4) / (12.0 * h)
     return d
 
 
 def second_derivative_4th(f: np.ndarray, h: float) -> np.ndarray:
-    """Second derivative on interior nodes 2..n-3 (5-point central stencil)."""
+    """Second derivative on interior nodes 2..n-3 (5-point central stencil).
+
+    One correlation pass of f with the kernel (-1, 16, -30, 16, -1),
+    divided by 12h^2.  The stencil spans 5 samples, so fewer raise
+    ValueError."""
     f = np.asarray(f, dtype=float)
-    return (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (12.0 * h * h)
+    if f.size < 5:
+        raise ValueError(f"second_derivative_4th needs at least 5 samples, got {f.size}")
+    d2 = np.correlate(f, _D2)
+    d2 /= 12.0 * h * h
+    return d2
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +332,23 @@ def surface_tension_quadrature(p: FluidParams, prof: Profile) -> float:
     return simpson_uniform(p.C * drho * drho, prof.h)
 
 
+_SIMPSON = np.array([1.0, 4.0, 1.0])
+
+
 def simpson_uniform(f: np.ndarray, h: float) -> float:
     """Composite Simpson rule for samples f on a uniform grid of spacing h.
 
-    An even node count leaves one interval over; it is closed with the
-    uniform-grid case of Cartwright's last-interval correction, the rule
-    scipy.integrate.simpson applies, so both parities stay 4th order.
+    The panel sums f[2k] + 4 f[2k+1] + f[2k+2] are every other window of
+    one correlation pass with the kernel (1, 4, 1).  An even node count
+    leaves one interval over; it is closed with the uniform-grid case of
+    Cartwright's last-interval correction, the rule scipy.integrate.simpson
+    applies, so both parities stay 4th order.  A panel spans 3 samples, so
+    fewer raise ValueError.
     """
+    if f.size < 3:
+        raise ValueError(f"simpson_uniform needs at least 3 samples, got {f.size}")
     odd = f[:f.size - 1 + f.size % 2]  # longest prefix with an odd node count
-    total = np.sum(odd[:-2:2] + 4.0 * odd[1:-1:2] + odd[2::2]) * (h / 3.0)
+    total = np.sum(np.correlate(odd, _SIMPSON)[::2]) * (h / 3.0)
     if f.size % 2 == 0:
         total += h / 12.0 * (5.0 * f[-1] + 8.0 * f[-2] - f[-3])
     return float(total)
@@ -742,8 +770,19 @@ def equilibrium_stress_residual(p: FluidParams, prof: Profile) -> float:
     return float(np.max(np.abs(dsigma)))
 
 
+# rows per write of profile_to_csv: its Python floats and strings take about
+# 220 B a row, so a block holds under 1 MB whatever the grid
+_CSV_BLOCK = 4096
+
+
 def profile_to_csv(prof: Profile, stream) -> None:
-    """Write the profile as CSV with header y,rho,s, each float in shortest round-trip form."""
+    """Write the profile as CSV with header y,rho,s, each float in shortest round-trip form.
+
+    The rows go out _CSV_BLOCK at a time, one write per block, so the Python
+    floats and strings held at once are a block's, not the whole profile's.
+    """
     stream.write("y,rho,s\n")
-    for row in zip(prof.y.tolist(), prof.rho.tolist(), prof.s.tolist()):
-        stream.write("%r,%r,%r\n" % row)
+    for lo in range(0, prof.y.size, _CSV_BLOCK):
+        rows = slice(lo, lo + _CSV_BLOCK)
+        stream.write("".join("%r,%r,%r\n" % row for row in zip(
+            prof.y[rows].tolist(), prof.rho[rows].tolist(), prof.s[rows].tolist())))

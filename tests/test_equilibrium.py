@@ -284,6 +284,85 @@ def test_stencils_converge_at_fourth_order():
         assert order > 3.7, f"stencil {i} converges at order {order:.2f}"
 
 
+# the slice forms the correlation passes replace, kept as references: each
+# adds a window's terms left to right and divides last
+
+def _slice_derivative_4th(f, h):
+    d = np.empty_like(f)
+    d[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
+    d[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
+    d[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
+    d[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
+    d[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
+    return d
+
+
+def _slice_second_derivative_4th(f, h):
+    return (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (12.0 * h * h)
+
+
+def _slice_simpson(f, h):
+    odd = f[:f.size - 1 + f.size % 2]
+    total = np.sum(odd[:-2:2] + 4.0 * odd[1:-1:2] + odd[2::2]) * (h / 3.0)
+    if f.size % 2 == 0:
+        total += h / 12.0 * (5.0 * f[-1] + 8.0 * f[-2] - f[-3])
+    return float(total)
+
+
+def _random_samples(rng, n):
+    # samples of random sign and magnitudes 1e-6 to 1e6, one draw each, and
+    # a smooth profile scaled by one such magnitude, with h from 1e-4 to 10
+    x = np.linspace(-3.0, 3.0, n)
+    yield (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 6.0, n),
+           10.0 ** rng.uniform(-4.0, 1.0))
+    yield 10.0 ** rng.uniform(-6.0, 6.0) * np.tanh(x + rng.uniform()), 10.0 ** rng.uniform(-4.0, 1.0)
+
+
+_STENCIL_SIZES = [5, 6, 7, 8, 9, 10, 11, 101, 1000, 1001, 4001, 16001, 20000, 20001]
+
+
+@pytest.mark.parametrize("n", _STENCIL_SIZES)
+def test_stencils_keep_the_bits_of_their_slice_forms(n):
+    # the first derivative's kernel products (+-1, +-8, 0) are exact, so its
+    # correlation pass is the slice form bit for bit; -30 f rounds, and a
+    # BLAS that fuses multiply and add may round it once less, so the second
+    # derivative is held to 4 eps of the sum of its terms' magnitudes
+    rng = np.random.default_rng(n)
+    for f, h in _random_samples(rng, n):
+        assert np.array_equal(derivative_4th(f, h), _slice_derivative_4th(f, h))
+        a = np.abs(f)
+        terms = (a[:-4] + 16.0 * a[1:-3] + 30.0 * a[2:-2] + 16.0 * a[3:-1] + a[4:]) / (12.0 * h * h)
+        gap = np.abs(second_derivative_4th(f, h) - _slice_second_derivative_4th(f, h))
+        assert np.all(gap <= 4.0 * np.finfo(float).eps * terms)
+
+
+@pytest.mark.parametrize("n", [3, 4] + _STENCIL_SIZES)
+def test_simpson_keeps_the_bits_of_its_slice_form(n):
+    # every panel product (1, 4) is exact, so the panel sums are the slice
+    # form's bit for bit, and so is their total
+    rng = np.random.default_rng(n)
+    for f, h in _random_samples(rng, n):
+        assert simpson_uniform(f, h) == _slice_simpson(f, h)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_stencils_name_the_five_sample_minimum(n):
+    # np.correlate swaps a kernel longer than its data: three samples would
+    # give three values of a reversed window, so short data is refused
+    f = np.linspace(0.0, 1.0, n)
+    for stencil in (derivative_4th, second_derivative_4th):
+        with pytest.raises(ValueError, match=f"{stencil.__name__} needs at least 5 samples, got {n}"):
+            stencil(f, 0.25)
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_simpson_names_the_three_sample_minimum(n):
+    # one sample would read as h/3 * 2f rather than 0, and 0 or 2 would
+    # index past the data
+    with pytest.raises(ValueError, match=f"simpson_uniform needs at least 3 samples, got {n}"):
+        simpson_uniform(np.ones(n), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Residual certificates of the closed profile
 # ---------------------------------------------------------------------------
@@ -1079,8 +1158,8 @@ def test_stress_certificate_names_the_five_sample_minimum(n):
 
 def test_stress_certificate_footprint_per_node():
     # its blocks hold a fixed few hundred KiB of temporaries; beyond them
-    # sigma_yy, its derivative and the derivative's temporaries hold about
-    # 32 B per node, and one unblocked pass over the profile about 136
+    # sigma_yy, its derivative and the derivative's correlation hold about
+    # 24 B per node, and one unblocked pass over the profile about 136
     n = 160001
     prof = closed_profile(P0, BC, GridConfig(n_points=n))
     equilibrium_stress_residual(P0, prof)
@@ -1127,3 +1206,45 @@ def test_profile_csv_roundtrip():
     np.testing.assert_array_equal(data[:, 0], prof.y)
     np.testing.assert_array_equal(data[:, 1], prof.rho)
     np.testing.assert_array_equal(data[:, 2], prof.s)
+
+
+def _row_by_row_csv(prof):
+    # the reference: one write per row, from whole-profile lists
+    buf = io.StringIO()
+    buf.write("y,rho,s\n")
+    for row in zip(prof.y.tolist(), prof.rho.tolist(), prof.s.tolist()):
+        buf.write("%r,%r,%r\n" % row)
+    return buf.getvalue()
+
+
+_CSV_BLOCK = equilibrium._CSV_BLOCK
+
+
+@pytest.mark.parametrize("n", [5, 51, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1,
+                               2 * _CSV_BLOCK, 2 * _CSV_BLOCK + 1])
+def test_blocked_csv_keeps_the_bytes_of_the_row_by_row_writer(n, tmp_path):
+    # through a file opened as the command line opens its artifacts
+    prof = closed_profile(P0, BC, GridConfig(n_points=max(n | 1, 51)))
+    prof = Profile(prof.y[:n], prof.rho[:n], prof.s[:n], BC, prof.provenance)
+    path = tmp_path / "profile.csv"
+    with open(path, "x", encoding="utf-8", newline="\n") as fh:
+        profile_to_csv(prof, fh)
+    assert path.read_bytes() == _row_by_row_csv(prof).encode("utf-8")
+
+
+def test_csv_footprint_per_node(tmp_path):
+    # one block's Python floats and strings, under 1 MB, whatever the grid;
+    # three whole-profile lists of floats would hold about 96 B per node
+    n = 160001
+    prof = closed_profile(P0, BC, GridConfig(n_points=n))
+    path = tmp_path / "profile.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        profile_to_csv(prof, fh)
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            profile_to_csv(prof, fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 16.0
