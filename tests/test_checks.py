@@ -61,6 +61,17 @@ def _field(name, factor):
     return fault
 
 
+def _centre(factor):
+    # the centre node of the function's array times factor: a localized fault
+    def fault(real):
+        def faulty(*args):
+            out = real(*args)
+            out[out.size // 2] *= factor
+            return out
+        return faulty
+    return fault
+
+
 def _jump_entry(row, col, factor):
     # entry (row, col) of every jump matrix times factor
     def fault(real):
@@ -135,6 +146,10 @@ _FAULTS = [
     ("simpson_uniform-x1.0001", {"simpson_uniform": _scaled(1.0001)}, _every(QUADRATURE)),
     ("derivative_4th-x1.001", {"derivative_4th": _scaled(1.001)},
      ({STRESS, INTEGRAL, QUADRATURE}, {QUADRATURE}, {QUADRATURE})),
+    # one node off by 5e-5 at 0.1: the stress row reads 25x its threshold,
+    # the first integral 2.5x, and the quadrature stays under its own
+    ("derivative_4th-centre-x(1+5e-5)", {"derivative_4th": _centre(1.0 + 5e-5)},
+     ({STRESS, INTEGRAL}, _Blind({STRESS, INTEGRAL}), _Blind({STRESS, INTEGRAL}))),
     ("second_derivative_4th-x1.001", {"second_derivative_4th": _scaled(1.001)},
      ({STRESS, PROFILE}, {PROFILE}, _Blind({PROFILE}))),
     ("solver-D-x1.01", _solver_d(1.01), ({STRESS}, _Blind({STRESS}), _Blind({STRESS}))),

@@ -363,6 +363,16 @@ def test_simpson_names_the_three_sample_minimum(n):
         simpson_uniform(np.ones(n), 0.5)
 
 
+@pytest.mark.parametrize("n", [3, 4, 101, 1000])
+def test_simpson_takes_array_likes_as_the_stencils_do(n):
+    # a list or an int array reads as its float64 samples, bit for bit, as
+    # derivative_4th and second_derivative_4th read theirs
+    ints = np.random.default_rng(n).integers(-1000, 1000, n)
+    expected = simpson_uniform(ints.astype(float), 0.25)
+    assert simpson_uniform(ints, 0.25) == expected
+    assert simpson_uniform(ints.tolist(), 0.25) == expected
+
+
 # ---------------------------------------------------------------------------
 # Residual certificates of the closed profile
 # ---------------------------------------------------------------------------
