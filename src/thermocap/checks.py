@@ -7,6 +7,8 @@ root in speed and amplitudes) on seeded random samples, and records the
 worst discrepancy next to its threshold.  The eos rows certify the
 delta_t forms of the bulk terms that the solver uses, in which mu_c, T_c
 and p_c cancel exactly; the profile and stress rows add none of them.
+The stress row reads the solve on its own collocation level, so grid
+sets the closed-profile rows' resolution alone.
 Each sampled undercooling lies between the config's delta_t and three
 decades below it, inside the config's own coexistence bracket; below
 delta_t ~ 1e-17 (at the reference constants) that floor no longer
@@ -140,9 +142,9 @@ def run_checks(p: FluidParams, bc: BulkConditions, grid: GridConfig,
         sig_q = np.inf
     record("surface-tension-quadrature-vs-closed", abs(sig_q - sig_c) / sig_c, 1e-6)
 
-    full_prof, _ = equilibrium.solve_full_bvp(p, bc, grid)
-    record("equilibrium-stress-residual",
-           equilibrium.equilibrium_stress_residual(p, full_prof), 1e-7)
+    # the full route on the collocation level it was solved on, not on grid
+    level, u, _ = equilibrium._solve(p, bc, grid)
+    record("equilibrium-stress-residual", equilibrium._level_stress_residual(p, level, u), 1e-7)
 
     rho_w = p.rho_c * _uniform(0.5, 1.5, u_rho)
     a_w = _uniform(-1.0, 1.0, u_a) * 0.1

@@ -12,8 +12,8 @@ at mapped Chebyshev-Lobatto nodes of [-L, L], with Dirichlet data from the
 exact bulk states, and solves it by bordered Newton (solve_full_bvp).  The
 collocation converges exponentially in the node count, so 40 to 80 intervals
 resolve the smooth front on any grid the profile is returned on; every
-diagnostic uses 4th-order stencils on that grid, so discretization error
-of the diagnostic never masks the quantity being diagnosed.
+diagnostic of a returned profile uses 4th-order stencils on its grid, and
+the full route's own stress certificate reads its collocation level.
 """
 
 from __future__ import annotations
@@ -71,10 +71,10 @@ __all__ = [
 ]
 
 
-# the largest grid: check peaks near 72 B per node, profile and profile --full
+# the largest grid: check peaks near 64 B per node, profile and profile --full
 # near 48 (their CSV writer holds one block of rows), the stress certificate
 # near 24 and a full solve near 35 (past the 1.5 MB of its collocation and
-# interpolation table), so a run on it needs about 72 MB
+# interpolation table), so a run on it needs about 64 MB
 _MAX_POINTS = 1_000_001
 # the share of the density jump by which a profile's ends may miss the bulk
 # densities and its interior overshoot them
@@ -96,7 +96,7 @@ class GridConfig:
         object.__setattr__(self, "n_points", int(n))  # a numpy integer too
         if self.n_points > _MAX_POINTS:
             raise InvalidConfig(f"grid.n_points must be <= {_MAX_POINTS} (a run needs "
-                                "about 72 B per node)")
+                                "about 64 B per node)")
         if self.half_width_in_zeta < 8.0:
             raise InvalidConfig(
                 f"grid.half_width_in_zeta must be >= 8, got {self.half_width_in_zeta!r}"
@@ -286,15 +286,18 @@ def tanh_front(p: FluidParams, bc: BulkConditions, y) -> np.ndarray:
     return p.rho_c + 0.5 * (liquid.rho - vapor.rho) * np.tanh(y / (2.0 * zeta))
 
 
-def _heights(g: GridConfig, zeta: float) -> np.ndarray:
-    """The heights of g's uniform grid on [-L, L], L = g.half_width_in_zeta * zeta;
-    InvalidConfig where its spacing overflows."""
+def _spacing(g: GridConfig, zeta: float) -> float:
+    """g's grid spacing 2L / (n - 1), L = half_width_in_zeta * zeta; InvalidConfig on overflow."""
     h = 2.0 * g.half_width_in_zeta * zeta / (g.n_points - 1)
     if not math.isfinite(h):  # a finite h keeps every node |y| <= h * (n - 1) / 2 finite
         raise InvalidConfig(f"grid end half_width_in_zeta * zeta = {g.half_width_in_zeta!r} "
                             f"* {zeta!r} overflows")
-    # y as exact integer multiples of h, so the midpoint is exactly 0
-    return h * (np.arange(g.n_points, dtype=float) - (g.n_points - 1) // 2)
+    return h
+
+
+def _heights(g: GridConfig, zeta: float) -> np.ndarray:
+    """g's uniform grid, as exact integer multiples of _spacing so that the midpoint is 0."""
+    return _spacing(g, zeta) * (np.arange(g.n_points, dtype=float) - (g.n_points - 1) // 2)
 
 
 def closed_profile(p: FluidParams, bc: BulkConditions, g: GridConfig = GridConfig()) -> Profile:
@@ -399,7 +402,7 @@ def first_integral_residual(p: FluidParams, bc: BulkConditions, prof: Profile) -
 _TOL = 1e-10  # max-norm residual at which Newton stops
 _MAX_ITER = 50
 _MAX_DAMPING = 20  # step halvings allowed per iteration
-# The collocation ladder (see solve_full_bvp) starts at _FIRST_NODES
+# The collocation ladder (see _solve) starts at _FIRST_NODES
 # Chebyshev intervals (even, so that y = 0 is a node) and doubles them up to
 # _MAX_NODES while a level's last two Chebyshev coefficients of rho exceed
 # _TAIL times the density jump, a hundredth of the _GATE on the profile.
@@ -448,7 +451,7 @@ class _Level:
 
     y = ell x / sqrt(a - x^2), a = 1 + (ell / L)^2, sends +-1 to +-L and
     half of the nodes within about ell of the front (Boyd, Chebyshev and
-    Fourier Spectral Methods, 2001, ch. 17); solve_full_bvp takes ell =
+    Fourier Spectral Methods, 2001, ch. 17); _solve takes ell =
     _MAP_SCALE widths.  dy and d2 differentiate nodal values in y.
     """
 
@@ -519,35 +522,30 @@ def _collocation_jacobian(p: FluidParams, bc: BulkConditions, level: _Level, m: 
     return jac.reshape(2 * h_rr.size, -1)
 
 
-def solve_full_bvp(p: FluidParams, bc: BulkConditions,
-                   g: GridConfig = GridConfig()) -> tuple[Profile, NewtonReport]:
-    """Solve the coupled two-field boundary-value problem by bordered Newton.
+def _solve(p: FluidParams, bc: BulkConditions,
+           g: GridConfig) -> tuple[_Level, np.ndarray, NewtonReport]:
+    """The full route's result: its last _Level, u = [rho - rho_c; s] on its nodes, and the report.
 
     The equations are collocated on a _Level of the box [-L, L] of g, L =
     g.half_width_in_zeta * zeta and ell = _MAP_SCALE * zeta, with Dirichlet
     data from the exact bulk states, and solved by _newton, whose failure
     on any level is the solve's.  The first level has _FIRST_NODES
     Chebyshev intervals, which resolve the default box wherever it holds
-    the tails, and the closed front scaled by 1 / tanh(L / 2 zeta)
-    for seed, which meets the bulk densities smoothly at +-L.  A level whose
+    the tails, and the closed front scaled by 1 / tanh(L / 2 zeta) for
+    seed, which meets the bulk densities smoothly at +-L.  A level whose
     last two Chebyshev coefficients of rho exceed _TAIL times the density
     jump seeds the next, with twice the intervals, by its interpolant, and
     past _MAX_NODES UnderResolved is raised; seed_points and seed_iterations
-    record the level before the last (0 for none).  A level carries its
-    nodal values as one (2, n + 1) array u = [rho - rho_c; s], which _newton
-    returns with its report, and builds its front once, for the translation
-    mode and, on the first level, the seed.  g.n_points only sets the
-    uniform grid on which the last level's interpolant is returned, exactly
-    rho_c at y = 0 and the bulk states at +-L, so the report does not
-    depend on it.
+    record the level before the last (0 for none).  A level builds its
+    front once, for the translation mode and, on the first level, the
+    seed.  g.n_points only refuses first a grid that overflows, as _heights.
 
     A resolved level that is not converged held the front only by a real
     force: the box truncates the tails, and UndecayedTail is raised with
-    the report instead of returning the truncated profile.  A solution that
-    leaves the bracket of the bulk densities raises NewtonDiverged.
+    the report instead of returning the truncated profile.
     """
     zeta = interface_width(p, bc)
-    y = _heights(g, zeta)
+    _spacing(g, zeta)
     liquid, vapor = bulk_states(p, bc)
     jump = liquid.rho - vapor.rho
     # the Dirichlet data of u = [rho - rho_c; s] at -L and +L
@@ -559,7 +557,7 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions,
         m = t * (ends[0, 1] / t[-1])
         return np.stack([m, entropy_slave(p, p.rho_c + m, bc.delta_t)])
 
-    # on L as g states it, not on y[-1] = h (n - 1) / 2, whose rounding varies with n
+    # on L as g states it, not on the uniform grid's end, whose rounding varies with n
     level = _Level(_FIRST_NODES, g.half_width_in_zeta * zeta, _MAP_SCALE * zeta)
     closed = front(level)
     u = closed.copy()  # the seed; closed keeps the front's own ends for the translation mode
@@ -584,11 +582,22 @@ def solve_full_bvp(p: FluidParams, bc: BulkConditions,
             f"equations' residual is {report.residual_norm:.3e} > {_TOL:.1e}, so the box of "
             f"half_width_in_zeta = {g.half_width_in_zeta:g} truncates the tails; widen it",
             report)
+    return level, u, report
+
+
+def solve_full_bvp(p: FluidParams, bc: BulkConditions,
+                   g: GridConfig = GridConfig()) -> tuple[Profile, NewtonReport]:
+    """_solve's coupled profile, its last level's interpolant on g's uniform grid
+    (exactly rho_c at y = 0 and the bulk states at +-L), and its report.  An
+    interpolant that leaves the bracket of the bulk densities raises NewtonDiverged."""
+    level, u, report = _solve(p, bc, g)
+    y = _heights(g, interface_width(p, bc))
+    liquid, vapor = bulk_states(p, bc)
     rho, s = level.values_at(u, y)
     rho += p.rho_c
     rho[[0, y.size // 2, -1]] = vapor.rho, p.rho_c, liquid.rho
-    s[[0, -1]] = ends[1]
-    slack = _GATE * jump
+    s[[0, -1]] = vapor.s, liquid.s
+    slack = _GATE * (liquid.rho - vapor.rho)
     if np.min(rho) < vapor.rho - slack or np.max(rho) > liquid.rho + slack:
         raise NewtonDiverged(
             "converged iterate leaves the physical density bracket "
@@ -776,6 +785,13 @@ def equilibrium_stress_residual(p: FluidParams, prof: Profile) -> float:
     y, sigma_yy = stress_yy_profile(replace(p, p_c=0.0), prof)
     dsigma = derivative_4th(sigma_yy, prof.h)
     return float(np.max(np.abs(dsigma)))
+
+
+def _level_stress_residual(p: FluidParams, level: _Level, u: np.ndarray) -> float:
+    """equilibrium_stress_residual on _solve's level and u, by level.dy and level.d2 alone."""
+    grad, lap = u @ level.dy.T, u @ level.d2.T
+    sigma_yy = stress_tensor(replace(p, p_c=0.0), p.rho_c + u[0], u[1], *grad[..., None], *lap)
+    return float(np.max(np.abs(level.dy @ sigma_yy[:, 0, 0])))
 
 
 # rows per write of profile_to_csv: its Python floats and strings take about
