@@ -406,11 +406,9 @@ _MAX_DAMPING = 20  # step halvings allowed per iteration
 # Chebyshev intervals (even, so that y = 0 is a node) and doubles them up to
 # _MAX_NODES while a level's last two Chebyshev coefficients of rho exceed
 # _TAIL times the density jump, a hundredth of the _GATE on the profile.
-# 40 intervals resolve the default box up to the delta_t ~ 0.12 where it
-# refuses the tails, and their bordered Newton system of 79 unknowns (39
-# interior nodes of two fields, and c) stays below the 100 from which
-# OpenBLAS factors on several threads, whose hand-offs stall on a busy
-# machine.
+# 40 intervals, a bordered Newton system of 79 unknowns (39 interior nodes
+# of two fields, and c), resolve the default box up to the delta_t ~ 0.12
+# where it refuses the tails.
 _FIRST_NODES = 40
 _MAX_NODES = 320
 _TAIL = 1e-8

@@ -7,6 +7,7 @@ config ingestion, file layout and the documented exit-code contract:
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 CLI = [sys.executable, "-m", "thermocap"]
 
 
-def run_cli(tmp_path, *args, config=None, out="out"):
+def run_cli(tmp_path, *args, config=None, out="out", env=None):
     cmd = [*CLI, *args]
     if config is not None:
         cfg_path = tmp_path / "config.json"
@@ -26,7 +27,7 @@ def run_cli(tmp_path, *args, config=None, out="out"):
         cmd += ["--config", str(cfg_path)]
     out_dir = tmp_path / out
     cmd += ["--out", str(out_dir)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     return proc, out_dir
 
 
@@ -443,6 +444,38 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path, args):
     assert files_a == files_b and files_a
     for name in files_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+# the process environment without OPENBLAS_NUM_THREADS, as most users run
+_UNPINNED = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+
+def test_a_refined_solve_writes_the_one_thread_bytes_on_any_core_count(tmp_path):
+    # this config's ladder reaches 80 intervals, a 159-unknown Newton system,
+    # which OpenBLAS factors on every core unless thermocap loads it on one;
+    # on a machine with 2 or more CPUs, newton.json then differed
+    config = {"params": {"D": -0.5, "E": 0.3}, "delta_T": 0.1}
+    outs = []
+    for name, env in (("unset", _UNPINNED), ("one", {**_UNPINNED, "OPENBLAS_NUM_THREADS": "1"})):
+        proc, out = run_cli(tmp_path, "profile", "--full", "--seed", "0", config=config,
+                            out=name, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    assert read_json(outs[0] / "newton.json")["seed_points"] == 40
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == ["newton.json", "observables.json", "profile.csv"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("value", [None, "2"])
+def test_import_leaves_the_environment_as_it_found_it(value):
+    # the pin lasts only while thermocap loads numpy; a user's value is kept
+    env = dict(_UNPINNED) if value is None else {**_UNPINNED, "OPENBLAS_NUM_THREADS": value}
+    code = "import os, thermocap; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{value}\n"
 
 
 def test_json_output_is_normalized(tmp_path):
