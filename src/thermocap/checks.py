@@ -22,25 +22,17 @@ numpy's nor Python's release, and no run imports numpy.random.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from . import eos, equilibrium, waves
-from .eos import BulkConditions, FluidParams, bulk_conditions
+from .eos import BulkConditions, FluidParams, bulk_conditions, read_seed
 from .equilibrium import GridConfig
-from .errors import InvalidConfig, UndecayedTail
+from .errors import UndecayedTail
 
 __all__ = ["read_seed", "run_checks"]
-
-
-def read_seed(seed) -> int:
-    """seed as an int if it is an integer in [0, 2^64) and no bool; else InvalidConfig."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
-        raise InvalidConfig(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return int(seed)
 
 
 def _uniforms(seed: int, k: int) -> np.ndarray:

@@ -30,16 +30,17 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import equilibrium, scaling, waves
-from .checks import read_seed, run_checks
+from . import eos, equilibrium
 from .eos import BulkConditions, FluidParams, bulk_conditions, check_keys, read_number, read_object
 from .equilibrium import GridConfig
 from .errors import InvalidConfig, ModelError
-from .scaling import SweepConfig
+
+if TYPE_CHECKING:  # the commands that use them import them
+    from . import scaling, waves
 
 __all__ = ["main"]
 
@@ -125,7 +126,7 @@ class RunConfig:
     params: FluidParams
     bc: BulkConditions
     grid: GridConfig
-    sweep: SweepConfig
+    sweep: Optional[scaling.SweepConfig]  # None unless the command is sweep or the config sets one
     out_dir: str
     fmt: str
     seed: int
@@ -145,6 +146,7 @@ def _unique_keys(pairs: list) -> dict:
 def _parse_locus(tokens: Optional[Sequence[str]]) -> Optional[waves.WaveLocus]:
     if tokens is None:
         return None
+    from . import waves
     seen = {}
     for tok in tokens:
         key, sep, val = tok.partition("=")
@@ -176,15 +178,21 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         bc = bulk_conditions(p, delta_t=read_number(raw.get("delta_T", 0.01), "delta_T"))
 
     grid = read_object(GridConfig, raw.get("grid", {}), "grid")
-    sweep = read_object(SweepConfig, raw.get("sweep", {}), "sweep", grid=grid)  # grid is top-level
-    if args.full:
-        sweep = replace(sweep, use_full_solver=True)
+    # a sweep section is read under every command, so each command refuses
+    # what sweep would; without one only sweep builds the defaults, which
+    # cannot be refused (a sweep's grid is the top-level grid)
+    sweep = None
+    if "sweep" in raw or args.command == "sweep":
+        from .scaling import SweepConfig
+        sweep = read_object(SweepConfig, raw.get("sweep", {}), "sweep", grid=grid)
+        if args.full:
+            sweep = replace(sweep, use_full_solver=True)
 
     fmt = args.format if args.format is not None else raw.get("format", "both")
     if fmt not in ("csv", "json", "both"):
         raise InvalidConfig(f"format must be csv, json or both, got {fmt!r}")
 
-    seed = read_seed(args.seed if args.seed is not None else raw.get("seed", 0))
+    seed = eos.read_seed(args.seed if args.seed is not None else raw.get("seed", 0))
 
     out_dir = args.out if args.out is not None else raw.get("out", ".")
     if not isinstance(out_dir, str):
@@ -213,6 +221,7 @@ def cmd_profile(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_celerity(cfg: RunConfig) -> tuple[int, dict]:
+    from . import waves
     if cfg.locus is not None:
         locus = cfg.locus
         closed = waves.celerity_general(cfg.params, locus)
@@ -259,6 +268,7 @@ def _sweep_table(report: scaling.ScalingReport, summary: scaling.VerificationSum
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
+    from . import scaling
     report = scaling.run_sweep(cfg.params, cfg.sweep)
     summary = scaling.verify_exponents(report)
     sys.stdout.write(_sweep_table(report, summary))
@@ -270,6 +280,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_check(cfg: RunConfig) -> tuple[int, dict]:
+    from .checks import run_checks
     checks = run_checks(cfg.params, cfg.bc, cfg.grid, cfg.seed)
     lines = _verdict_table("check", "metric      threshold", [
         (c["name"], c["passed"], f"{c['metric']:<10.4e}  {c['threshold']:.4e}") for c in checks])

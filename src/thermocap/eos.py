@@ -101,6 +101,13 @@ def read_number(value, where: str) -> float:
     return number
 
 
+def read_seed(seed) -> int:
+    """seed as an int if it is an integer in [0, 2^64) and no bool; else InvalidConfig."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
+        raise InvalidConfig(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return int(seed)
+
+
 def check_keys(raw, allowed, where: str) -> Mapping:
     """raw, once it is a JSON object (a mapping) with no keys outside allowed;
     else InvalidConfig naming where, so that no typo runs on a default."""

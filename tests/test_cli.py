@@ -660,6 +660,19 @@ def test_malformed_config_objects_are_named(tmp_path, config, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["profile", "celerity", "check"])
+@pytest.mark.parametrize("config, message", [
+    ({"sweep": {"delta_t_values": [0.1, 0.01]}}, "sweep needs at least 4 undercoolings, got 2"),
+    ({"sweep": {"bogus": 1}}, "unknown sweep keys: ['bogus']"),
+], ids=["too-few", "unknown-key"])
+def test_a_bad_sweep_section_is_refused_by_every_command(tmp_path, command, config, message):
+    # the commands that run no sweep still read a sweep section the document sets
+    proc, out = run_cli(tmp_path, command, config=config)
+    assert proc.returncode == 2
+    assert proc.stderr == f"config error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, text, message", [
     (["profile"], '{"params": {"A": NaN}}', "params.A must be finite, got nan"),
     (["profile"], '{"params": {"D": -Infinity}}', "params.D must be finite, got -inf"),
@@ -1151,19 +1164,37 @@ with contextlib.redirect_stdout(io.StringIO()):
 added = sorted(k for k in set(sys.modules) - before
                if k in ("numpy.random", "_hashlib", "secrets") or k.split(".")[0] == "scipy")
 print(rc, added)
+print(" ".join(sorted(k for k in sys.modules if k.startswith("thermocap."))))
 """
 
+_PACKAGE = ["thermocap.eos", "thermocap.equilibrium", "thermocap.errors"]
 
-@pytest.mark.parametrize("argv", [
-    ("profile",), ("profile", "--full"), ("celerity",), ("sweep",), ("sweep", "--full"),
-    ("check",),
-])
+# the package's modules each command runs beyond cli and those every import loads
+_RUNS = {
+    ("profile",): [], ("profile", "--full"): [], ("celerity",): ["waves"],
+    ("sweep",): ["scaling", "waves"], ("sweep", "--full"): ["scaling", "waves"],
+    ("check",): ["checks", "waves"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_RUNS))
 def test_each_command_keeps_its_module_footprint(tmp_path, argv):
     # in a fresh interpreter, no command loads numpy.random or the OpenSSL
     # hashing that comes with it (check draws from its own SplitMix64), nor
     # any scipy module; modules the interpreter had before the package
-    # import are not counted
+    # import are not counted. Of the package, a command loads the cli, the
+    # modules every import loads and the modules it runs, and no other
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv, "--out", str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 []\n"
+    modules = sorted(["thermocap.cli", *_PACKAGE, *(f"thermocap.{m}" for m in _RUNS[argv])])
+    assert proc.stdout == f"0 []\n{' '.join(modules)}\n"
+
+
+def test_the_package_import_loads_only_eos_and_equilibrium():
+    # scaling and waves load on first use; errors comes with eos
+    proc = subprocess.run([sys.executable, "-c", "import sys, thermocap; print(' '.join(sorted("
+                           "k for k in sys.modules if k.startswith('thermocap.'))))"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{' '.join(_PACKAGE)}\n"

@@ -1,5 +1,10 @@
 """The package's export contract: each module's __all__ is the one list of
-its public names, and the package re-exports all four lists."""
+its public names, and the package re-exports all four lists.  The package
+names scaling's and waves' exports itself, to load each module on first
+use, and these tests hold its copies equal to the modules' lists."""
+
+import subprocess
+import sys
 
 import thermocap
 from thermocap import eos, equilibrium, scaling, waves
@@ -40,3 +45,46 @@ def test_no_published_name_is_dropped():
     namespace = {}
     exec("from thermocap import *", namespace)
     assert PUBLISHED <= set(namespace)
+
+
+def _in_fresh_interpreter(code):
+    # the module-level imports above load scaling and waves in this process,
+    # so the lazy path is seen only in a new one
+    proc = subprocess.run([sys.executable, "-c", "import sys, thermocap\n" + code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_lazy_export_loads_its_own_module_alone():
+    _in_fresh_interpreter(
+        "assert not {'thermocap.scaling', 'thermocap.waves'} & set(sys.modules)\n"
+        "assert thermocap.WaveLocus is thermocap.waves.WaveLocus\n"
+        "assert 'thermocap.scaling' not in sys.modules\n"
+        "assert thermocap.SweepConfig is thermocap.scaling.SweepConfig\n")
+
+
+def test_star_import_covers_the_published_names_in_a_fresh_interpreter():
+    _in_fresh_interpreter(
+        "namespace = {}\n"
+        "exec('from thermocap import *', namespace)\n"
+        f"assert {PUBLISHED!r} <= set(namespace)\n")
+
+
+def test_all_keeps_its_order_before_the_lazy_modules_load():
+    _in_fresh_interpreter(
+        "names = list(thermocap.__all__)\n"
+        "assert '__all__' in dir(thermocap)\n"
+        "from thermocap import eos, equilibrium, scaling, waves\n"
+        "modules = (eos, equilibrium, scaling, waves)\n"
+        "assert names == [n for m in modules for n in m.__all__] + ['__version__']\n")
+
+
+def test_an_unknown_name_is_an_attribute_error_that_loads_nothing():
+    _in_fresh_interpreter(
+        "try:\n"
+        "    thermocap.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+        "assert not {'thermocap.scaling', 'thermocap.waves'} & set(sys.modules)\n")
