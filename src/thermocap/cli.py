@@ -29,13 +29,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import eos, equilibrium
-from .eos import BulkConditions, FluidParams, bulk_conditions, check_keys, read_number, read_object
+from .eos import (BulkConditions, FluidParams, bulk_conditions, check_keys, frozen_record,
+                  read_number, read_object)
 from .equilibrium import GridConfig
 from .errors import InvalidConfig, ModelError
 
@@ -121,12 +122,18 @@ def _publish(cfg: RunConfig, artifacts: Mapping[str, object]) -> None:
 # configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_record
 class RunConfig:
+    """One command's validated config document and command-line options.
+
+    sweep is None unless the command is sweep or the document has a sweep
+    section; locus is None unless celerity was given --locus.
+    """
+
     params: FluidParams
     bc: BulkConditions
     grid: GridConfig
-    sweep: Optional[scaling.SweepConfig]  # None unless the command is sweep or the config sets one
+    sweep: Optional[scaling.SweepConfig]
     out_dir: str
     fmt: str
     seed: int

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Mapping
 
 from .errors import IndefiniteGradientForm, InvalidConfig, NonPositiveConstant
@@ -55,7 +55,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def frozen_record(cls=None, *, eq=True):
+    """@dataclass(frozen=True), or with eq=False compared by identity, that
+    generates only __init__, so a module's import execs one method per record,
+    not six: the rest are this module's __setattr__, __delattr__, __repr__,
+    __eq__ and __hash__, shared by every record.  They read all fields, so
+    field(repr=, compare=, hash=) is not honoured."""
+    if cls is None:
+        return lambda cls: frozen_record(cls, eq=eq)
+    cls = dataclass(cls, repr=False, eq=False)
+    cls.__setattr__, cls.__delattr__, cls.__repr__ = _set_once, _no_delete, _record_repr
+    if eq:
+        cls.__eq__, cls.__hash__ = _record_eq, _record_hash
+    return cls
+
+
+def _set_once(self, name, value):
+    # a field is no descriptor, so its value goes straight into the instance dict
+    attrs = self.__dict__
+    if name in attrs or name not in self.__dataclass_fields__:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    attrs[name] = value
+
+
+def _no_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _field_values(obj) -> tuple:
+    return tuple(getattr(obj, f.name) for f in fields(obj))
+
+
+def _record_repr(self):
+    args = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+    return f"{type(self).__qualname__}({args})"
+
+
+def _record_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _field_values(self) == _field_values(other)
+
+
+def _record_hash(self):
+    return hash(_field_values(self))
+
+
+@frozen_record
 class FluidParams:
     """Material constants in reduced units (defaults: the reference set)."""
 
@@ -141,7 +187,7 @@ def validate_params(raw: Mapping[str, float]) -> FluidParams:
     return read_object(FluidParams, raw, "params")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ThermoState:
     """A homogeneous thermodynamic state (specific entropy gauge: s_c = 0)."""
 
@@ -155,7 +201,7 @@ class ThermoState:
             raise ValueError(f"s must be finite, got {self.s!r}")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BulkConditions:
     """Imposed environment of an equilibrium profile.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .eos import (
     bulk_energy_hessian,
     bulk_energy_partials,
     entropy_slave,
+    frozen_record,
     pressure,
     read_fields,
 )
@@ -81,7 +82,7 @@ _MAX_POINTS = 1_000_001
 _GATE = 1e-6
 
 
-@dataclass(frozen=True)
+@frozen_record
 class GridConfig:
     """Uniform grid on [-L, L] with L expressed in interface widths."""
 
@@ -103,7 +104,7 @@ class GridConfig:
             )
 
 
-@dataclass(frozen=True, eq=False)
+@frozen_record(eq=False)
 class Profile:
     """Discrete interface profile: densities and entropies on a uniform grid."""
 
@@ -139,7 +140,7 @@ class Profile:
         return self.y.size // 2
 
 
-@dataclass(frozen=True)
+@frozen_record
 class InterfaceObservables:
     """Interface quantities in one bundle, closed forms next to quadrature."""
 
@@ -163,7 +164,7 @@ class InterfaceObservables:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class NewtonReport:
     """Convergence record of one bordered-Newton solve."""
 

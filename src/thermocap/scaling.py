@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 import types
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, field, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .eos import FluidParams, bulk_conditions, check_keys, read_number
+from .eos import FluidParams, bulk_conditions, check_keys, frozen_record, read_number
 from .equilibrium import (
     GridConfig,
     Profile,
@@ -71,7 +71,7 @@ _LAWS: Mapping[str, tuple[str, float, Optional[float], float]] = {
 EXPONENT_TARGETS: Mapping[str, float] = {law: target for law, (_, target, _, _) in _LAWS.items()}
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SweepConfig:
     """Which undercoolings to visit, how to solve each one and how to judge.
 
@@ -111,7 +111,7 @@ class SweepConfig:
             raise InvalidConfig(f"sweep tolerances must be > 0, got {bad}")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SweepRow:
     """One undercooling's measured observables; error set means the row failed."""
 
@@ -133,7 +133,7 @@ _CSV_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "error")
 CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ExponentFit:
     """Fitted log-log slope for one law, carrying its target and tolerance."""
 
@@ -151,7 +151,7 @@ class ExponentFit:
         return {**asdict(self), "passed": self.passed}
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ScalingReport:
     """Sweep rows plus the fitted exponent for every applicable law."""
 
@@ -167,7 +167,7 @@ class ScalingReport:
         }
 
 
-@dataclass(frozen=True)
+@frozen_record
 class VerificationSummary:
     """Per-law pass/fail verdicts for a scaling report.
 

@@ -31,11 +31,11 @@ root, which has no root to find at g2 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
-from .eos import BulkConditions, FluidParams, read_fields
+from .eos import BulkConditions, FluidParams, frozen_record, read_fields
 from .equilibrium import require_interface
 from .errors import InvalidConfig, ModelError
 
@@ -56,7 +56,7 @@ __all__ = [
 _JUMP_NOTE = "lambda_1 = [d rho/dn], lambda_2 = [d s/dn] (jumps in normal derivatives)"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class WaveLocus:
     """Local state a wave propagates through.
 
@@ -76,7 +76,7 @@ class WaveLocus:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CelerityResult:
     """Celerity and normalized jump amplitudes of a tangential wave."""
 

@@ -1,13 +1,17 @@
 """The package's export contract: each module's __all__ is the one list of
 its public names, and the package re-exports all four lists.  The package
 names scaling's and waves' exports itself, to load each module on first
-use, and these tests hold its copies equal to the modules' lists."""
+use, and these tests hold its copies equal to the modules' lists.  Every
+dataclass the modules define must be an eos.frozen_record."""
 
+import dataclasses
 import subprocess
 import sys
 
+import pytest
+
 import thermocap
-from thermocap import eos, equilibrium, scaling, waves
+from thermocap import checks, cli, eos, equilibrium, scaling, waves
 
 MODULES = (eos, equilibrium, scaling, waves)
 
@@ -38,6 +42,21 @@ def test_every_export_is_its_modules_own_object():
     for m in MODULES:
         for name in m.__all__:
             assert getattr(thermocap, name) is getattr(m, name), (m.__name__, name)
+
+
+# every dataclass the package defines, found so that a new one is checked too
+RECORDS = [obj for m in (*MODULES, checks, cli) for obj in vars(m).values()
+           if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == m.__name__]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_each_record_class_shares_every_method_but_init(cls):
+    # eos.frozen_record's methods: dataclass generated __init__ alone
+    assert (cls.__setattr__, cls.__delattr__, cls.__repr__) == (
+        eos._set_once, eos._no_delete, eos._record_repr)
+    identity = cls is equilibrium.Profile  # frozen_record(eq=False)
+    assert (cls.__eq__, cls.__hash__) == ((object.__eq__, object.__hash__) if identity
+                                          else (eos._record_eq, eos._record_hash))
 
 
 def test_no_published_name_is_dropped():
